@@ -1,5 +1,7 @@
 # Developer entry points. `make check` is the pre-commit gate: vet, build,
-# and the race-detector suite over the packages that fan work across
+# the full test suite at one and two cores (so a determinism defect that
+# only shows when work runs in parallel fails the gate), and the
+# race-detector suite over the packages that fan work across
 # goroutines (eval experiment generators, the pooled SSIM comparer, the
 # parallel cutoff preprocessing, and the live runtime stack: wall clock,
 # server lifecycle, transport framing, and the sim-vs-live loopback e2e)
@@ -10,7 +12,7 @@ GO ?= go
 
 .PHONY: check vet build test race bench bench-diff smoke loadtest
 
-check: vet build race
+check: vet build test race
 
 vet:
 	$(GO) vet ./...
@@ -19,7 +21,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -cpu 1,2 ./...
 
 race:
 	$(GO) test -race ./internal/eval/... ./internal/ssim/... ./internal/cutoff/... \

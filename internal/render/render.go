@@ -289,9 +289,9 @@ func (r *Renderer) render(eye geom.Vec3, tMin, tMax float64, dynamics []world.Ob
 
 // PanoramaBand renders only panorama rows [rowLo, rowHi) of the frame
 // Panorama would produce, returning a W x (rowHi-rowLo) raster whose rows
-// match the full render byte for byte. The reprojection path uses it to
-// ray-cast a thin ground-truth stripe — a fraction of a full render — to
-// SSIM-validate a synthesized frame before serving it. The band raster is
+// match the full render byte for byte: a thin ground-truth stripe — a
+// fraction of a full render — to SSIM-validate a synthesized frame
+// against. The band raster is
 // not pooled (its size varies); it is garbage for the collector.
 func (r *Renderer) PanoramaBand(eye geom.Vec3, tMin, tMax float64, dynamics []world.Object, rowLo, rowHi int) *img.Gray {
 	w, h := r.Cfg.W, r.Cfg.H
@@ -360,11 +360,9 @@ func (r *Renderer) Close() {
 }
 
 // LowRes returns a renderer of the same scene at 1/factor resolution per
-// axis (so 1/factor² of the rays), created on first use and cached. The
-// server's quality-degrade ladder renders through it when a deadline
-// cannot afford a full-resolution ray-cast, then upscales the result
-// with UpscaleToFull. factor < 2 or a resolution too small to divide
-// returns nil.
+// axis (so 1/factor² of the rays), created on first use and cached;
+// UpscaleToFull brings its output back to full size. factor < 2 or a
+// resolution too small to divide returns nil.
 func (r *Renderer) LowRes(factor int) *Renderer {
 	if factor < 2 {
 		return nil

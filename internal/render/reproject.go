@@ -8,8 +8,9 @@
 // and the shell point is looked up in the source panorama. Far geometry
 // (which is all a far-BE frame contains) moves slowly with viewpoint, so
 // the constant-depth approximation holds exactly where Coterie's frame
-// similarity argument holds; the server SSIM-checks the result against a
-// ray-cast ground-truth band before trusting it (server.tryReproject).
+// similarity argument holds. A caller should SSIM-check the result
+// against a ray-cast ground-truth band (PanoramaBand) before trusting it;
+// the frame server serves no warped frames (DESIGN.md §9).
 package render
 
 import (

@@ -2,34 +2,32 @@ package server
 
 import (
 	"errors"
-	"math"
 	"sync"
 
 	"coterie/internal/codec"
-	"coterie/internal/cutoff"
 	"coterie/internal/geom"
 	"coterie/internal/img"
-	"coterie/internal/ssim"
 	"coterie/internal/transport"
 )
 
 // This file is the server side of the similarity-aware frame path: delta
-// coding against frames the client provably holds (stop re-sending) and
-// reprojection synthesis from frames the server recently rendered (stop
-// re-rendering). Both exploit the paper's core observation that nearby
-// frames are highly similar, and both are gated by the SSIM machinery
-// already calibrated per leaf region: a reference qualifies for delta
-// coding when it sits within the leaf's DistThresh (the distance below
-// which SSIM ≥ ssim.GoodThreshold by construction, §4.4), and a
-// reprojected frame is served only after an SSIM check against a
-// ray-cast ground-truth band clears the same bar.
+// coding against frames the client provably holds, so a frame close to
+// one already sent costs a residual instead of a full re-send. It
+// exploits the paper's core observation that nearby frames are highly
+// similar, gated by the SSIM machinery already calibrated per leaf
+// region: a reference qualifies when it sits within the leaf's DistThresh
+// (the distance below which SSIM ≥ ssim.GoodThreshold by construction,
+// §4.4). The server never synthesizes a frame: every frame it serves is
+// a full ray-cast of its grid point or a cached copy of one.
 //
 // Reference identity is (grid point, store sequence number), never grid
-// point alone: reprojection makes a re-render of the same point
-// non-byte-identical, so a delta must name the exact bytes the client
-// decoded. Only intra-served frames become references (the client's
-// reconstruction of a delta frame is one quantisation step removed from
-// the server's, and chaining deltas would compound that drift).
+// point alone: a delta must name the exact bytes the client decoded, and
+// a store entry can be evicted and its point re-rendered while the client
+// still holds the old bytes, so the sequence number keeps the delta path
+// from assuming the two renders came out identical. Only intra-served
+// frames become references (the client's reconstruction of a delta frame
+// is one quantisation step removed from the server's, and chaining deltas
+// would compound that drift).
 
 // maxHeldRefs bounds the per-session holdings map. Forgetting a held
 // reference is always safe — the server just loses a delta opportunity —
@@ -99,9 +97,9 @@ func (sr *sessionRefs) drop(pts []geom.GridPoint) {
 // scheduler projects as already at risk is served from the stale rung
 // when a calibrated substitute is cached (a store hit needs no such
 // rescue — it is the substitute); the same fallback rescues a request
-// shed by admission control. Stale and low-res serves bypass the delta
-// path and never become references: their bytes are not the render of
-// pt a later delta would have to name.
+// shed by admission control. Stale serves bypass the delta path and
+// never become references: their bytes are not the render of pt a later
+// delta would have to name.
 func (s *Server) frameForSession(pt geom.GridPoint, deadlineMs float64, traceID uint64, sr *sessionRefs) (data []byte, kind transport.FrameEncoding, ref geom.GridPoint, rung transport.DegradeRung, origin transport.FrameOrigin, stg frameStages, err error) {
 	if deadlineMs > 0 && !s.schedOff.Load() && !s.degradeOff.Load() &&
 		s.sched.AtRisk(wallMs(), deadlineMs) {
@@ -110,13 +108,13 @@ func (s *Server) frameForSession(pt geom.GridPoint, deadlineMs float64, traceID 
 				// The exact frame is cached: serve it as the store hit it is
 				// and let the delta path shrink it as usual.
 				s.obs.frameStoreHits.Inc()
-				return s.deltaOrIntra(pt, seq, stale, sr, transport.RungExact, transport.OriginLocal, stg)
+				return s.deltaOrIntra(pt, seq, stale, sr, transport.OriginLocal, stg)
 			}
 			s.obs.degradeStale.Inc()
 			return stale, transport.FrameIntra, geom.GridPoint{}, transport.RungStale, transport.OriginLocal, stg, nil
 		}
 	}
-	intra, _, seq, rung, origin, fstg, err := s.frameForStaged(pt, deadlineMs, traceID)
+	intra, _, seq, origin, fstg, err := s.frameForStaged(pt, deadlineMs, traceID)
 	stg = fstg
 	if err != nil {
 		if errors.Is(err, errOverloaded) && !s.degradeOff.Load() {
@@ -127,27 +125,22 @@ func (s *Server) frameForSession(pt geom.GridPoint, deadlineMs float64, traceID 
 		}
 		return nil, transport.FrameIntra, geom.GridPoint{}, transport.RungExact, origin, stg, err
 	}
-	if rung == transport.RungLowRes {
-		// Transient frame: seq is 0, it is not in the store, and it must not
-		// become a delta reference — serve the bytes as-is.
-		return intra, transport.FrameIntra, geom.GridPoint{}, rung, origin, stg, nil
-	}
-	return s.deltaOrIntra(pt, seq, intra, sr, rung, origin, stg)
+	return s.deltaOrIntra(pt, seq, intra, sr, origin, stg)
 }
 
-// deltaOrIntra finishes a store-backed serve (rung 0 or 2): delta-code
-// against the session's best held reference when that wins bytes, else
-// serve intra and register the frame as the next pending reference.
-func (s *Server) deltaOrIntra(pt geom.GridPoint, seq uint64, intra []byte, sr *sessionRefs, rung transport.DegradeRung, origin transport.FrameOrigin, stg frameStages) ([]byte, transport.FrameEncoding, geom.GridPoint, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
+// deltaOrIntra finishes an exact serve: delta-code against the session's
+// best held reference when that wins bytes, else serve intra and register
+// the frame as the next pending reference.
+func (s *Server) deltaOrIntra(pt geom.GridPoint, seq uint64, intra []byte, sr *sessionRefs, origin transport.FrameOrigin, stg frameStages) ([]byte, transport.FrameEncoding, geom.GridPoint, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
 	if !s.deltaOff.Load() {
 		if d, refPt, ok := s.deltaFor(pt, seq, intra, sr); ok {
 			s.obs.deltaFrames.Inc()
 			s.obs.deltaSaved.Add(int64(len(intra) - len(d)))
-			return d, transport.FrameDelta, refPt, rung, origin, stg, nil
+			return d, transport.FrameDelta, refPt, transport.RungExact, origin, stg, nil
 		}
 	}
 	sr.setPending(pt, seq)
-	return intra, transport.FrameIntra, geom.GridPoint{}, rung, origin, stg, nil
+	return intra, transport.FrameIntra, geom.GridPoint{}, transport.RungExact, origin, stg, nil
 }
 
 // deltaFor tries to produce a delta encoding of frame (pt, seq) against
@@ -207,11 +200,11 @@ func (s *Server) deltaFor(pt geom.GridPoint, seq uint64, intra []byte, sr *sessi
 // raster a client that decoded those exact bytes holds. intra, when
 // non-nil, is the frame's known encoded bytes; otherwise they are peeked
 // from the store and must still carry the same sequence number (a
-// re-rendered frame is different bytes, so a stale sequence returns nil
-// and the caller falls back to intra coding). The raster is owned by the
-// pano cache; callers must not mutate or release it.
+// re-rendered frame is a different store entry, so a stale sequence
+// returns nil and the caller falls back to intra coding). The raster is
+// owned by the pano cache; callers must not mutate or release it.
 func (s *Server) reconFor(pt geom.GridPoint, seq uint64, intra []byte) *img.Gray {
-	if g, gotSeq, ok := s.panos.get(pt); ok && gotSeq == seq && g != nil {
+	if g, gotSeq, ok := s.panos.get(pt); ok && gotSeq == seq {
 		return g
 	}
 	if intra == nil {
@@ -225,90 +218,17 @@ func (s *Server) reconFor(pt geom.GridPoint, seq uint64, intra []byte) *img.Gray
 	if err != nil {
 		return nil
 	}
-	s.panos.put(pt, seq, g, nil)
+	s.panos.put(pt, seq, g)
 	return g
 }
 
-// reprojDepth is the constant-depth shell the warp assumes, derived from
-// the leaf's cutoff radius: far-BE content starts at the cutoff, so a
-// small multiple of it is a serviceable depth proxy, bounded to keep the
-// parallax model sane in tiny and huge leaves.
-func reprojDepth(leaf *cutoff.Region) float64 {
-	d := 8 * leaf.Radius
-	if d < 20 {
-		d = 20
-	}
-	if d > 200 {
-		d = 200
-	}
-	return d
-}
-
-// tryReproject attempts to synthesize the panorama at pt by warping a
-// nearby frame's cached clean raster (the pre-encode ray-cast pixels, not
-// the codec reconstruction: the warped frame is encoded afresh, so
-// sourcing it from a CRF-lossy decode would compound codec loss and the
-// verification below would charge that loss against the warp). The result
-// is verified against a ray-cast ground-truth band; nil means no source
-// qualified or the check failed, and the caller falls back to a full
-// render. The returned raster is renderer-owned, exactly like Panorama's.
-func (s *Server) tryReproject(pt geom.GridPoint, pos geom.Vec2, leaf *cutoff.Region) *img.Gray {
-	grid := s.env.Game.Scene.Grid
-	srcPt, src, ok := s.panos.nearest(pt, grid, func(cand geom.GridPoint) bool {
-		d := grid.Dist(pt, cand)
-		return d > 0 && d <= leaf.DistThresh && s.env.Map.LeafAt(grid.Pos(cand)) == leaf
-	})
-	if !ok {
-		return nil
-	}
-	scene := s.env.Game.Scene
-	rp := s.env.Renderer.Reproject(src, scene.EyeAt(grid.Pos(srcPt)), scene.EyeAt(pos), reprojDepth(leaf))
-	if rp == nil {
-		return nil
-	}
-	if !s.verifyReproject(rp, pos, leaf) {
-		s.obs.reprojRejects.Inc()
-		s.env.Renderer.ReleaseGray(rp)
-		return nil
-	}
-	s.obs.reprojHits.Inc()
-	return rp
-}
-
-// verifyReproject ray-casts a horizontal sample band of the true frame
-// and accepts the reprojection iff the band's SSIM clears the paper's
-// "good" bar. The band is centred on the horizon, where parallax error
-// concentrates (poles barely move under translation); its height trades
-// verification cost against coverage.
-func (s *Server) verifyReproject(rp *img.Gray, pos geom.Vec2, leaf *cutoff.Region) bool {
-	w, h := rp.W, rp.H
-	band := h / 8
-	if band < 16 {
-		band = 16
-	}
-	if band > h {
-		band = h
-	}
-	y0 := (h - band) / 2
-	gt := s.env.Renderer.PanoramaBand(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil, y0, y0+band)
-	// Rows are contiguous, so the reprojected band is a sub-slice view.
-	view := &img.Gray{W: w, H: band, Pix: rp.Pix[y0*w : (y0+band)*w]}
-	score, err := ssim.Mean(gt, view)
-	return err == nil && score >= ssim.GoodThreshold
-}
-
 // defaultPanoCacheCap bounds the decoded-frame cache. At the default
-// 256x128 resolution this is 4 MB worst case (two rasters per entry);
-// entries are dropped LRU.
+// 256x128 resolution this is 2 MB worst case; entries are dropped LRU.
 const defaultPanoCacheCap = 64
 
-// panoCache is a small LRU map of frame rasters keyed by grid point,
-// shared by all sessions. Each entry carries up to two views of the same
-// render: recon, the codec reconstruction (what a client that decoded the
-// frame holds — the delta path's reference raster), and clean, the
-// pre-encode ray-cast pixels (the reprojection path's warp source; nil
-// for frames that were themselves reprojection-served, so warp error
-// never chains through generations of synthesis). Entries are immutable
+// panoCache is a small LRU map of codec reconstructions keyed by grid
+// point, shared by all sessions: the raster a client that decoded the
+// frame holds, which is the delta path's reference. Entries are immutable
 // once inserted and never returned to the raster pools — a session may
 // still be reading an entry after its eviction, so evicted rasters are
 // left to the garbage collector.
@@ -324,7 +244,6 @@ type panoEntry struct {
 	pt         geom.GridPoint
 	seq        uint64
 	recon      *img.Gray
-	clean      *img.Gray
 	prev, next *panoEntry
 }
 
@@ -333,8 +252,7 @@ func newPanoCache(cap int) *panoCache {
 }
 
 // get returns the cached reconstruction of pt and its sequence number.
-// The raster is shared and must not be mutated or released; it may be nil
-// when only the clean raster is cached for the point.
+// The raster is shared and must not be mutated or released.
 func (p *panoCache) get(pt geom.GridPoint) (*img.Gray, uint64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -346,32 +264,18 @@ func (p *panoCache) get(pt geom.GridPoint) (*img.Gray, uint64, bool) {
 	return e.recon, e.seq, true
 }
 
-// put inserts the rasters of render (pt, seq); either may be nil. The
-// cache takes ownership; the caller must not release them afterwards. A
-// same-sequence put merges with what is already cached (a later reconFor
-// decode must not clobber the clean raster stored at render time); a new
-// sequence replaces the entry outright.
-func (p *panoCache) put(pt geom.GridPoint, seq uint64, recon, clean *img.Gray) {
-	if recon == nil && clean == nil {
-		return
-	}
+// put inserts the reconstruction of render (pt, seq), replacing any
+// entry for pt. The cache takes ownership; the caller must not release
+// the raster afterwards.
+func (p *panoCache) put(pt geom.GridPoint, seq uint64, recon *img.Gray) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.entries[pt]; ok {
-		if e.seq != seq {
-			e.seq, e.recon, e.clean = seq, recon, clean
-		} else {
-			if recon != nil {
-				e.recon = recon
-			}
-			if clean != nil {
-				e.clean = clean
-			}
-		}
+		e.seq, e.recon = seq, recon
 		p.touch(e)
 		return
 	}
-	e := &panoEntry{pt: pt, seq: seq, recon: recon, clean: clean}
+	e := &panoEntry{pt: pt, seq: seq, recon: recon}
 	p.entries[pt] = e
 	p.pushFront(e)
 	for len(p.entries) > p.cap && p.tail != nil {
@@ -379,31 +283,6 @@ func (p *panoCache) put(pt geom.GridPoint, seq uint64, recon, clean *img.Gray) {
 		p.unlink(v)
 		delete(p.entries, v.pt)
 	}
-}
-
-// nearest returns the cached point closest to pt (by grid distance) that
-// carries a clean raster and is accepted by keep, scanning the whole
-// cache (it is small by construction). Equidistant candidates tie-break
-// on (J, I) so the warp source — and therefore the served bytes — do not
-// depend on map iteration order. The raster is shared; see get.
-func (p *panoCache) nearest(pt geom.GridPoint, grid geom.Grid, keep func(geom.GridPoint) bool) (geom.GridPoint, *img.Gray, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var bestPt geom.GridPoint
-	var bestG *img.Gray
-	bestDist := 0.0
-	for cand, e := range p.entries {
-		if e.clean == nil || !keep(cand) {
-			continue
-		}
-		d := grid.Dist(pt, cand)
-		better := bestG == nil || d < bestDist ||
-			(d == bestDist && (cand.J < bestPt.J || (cand.J == bestPt.J && cand.I < bestPt.I)))
-		if better {
-			bestPt, bestG, bestDist = cand, e.clean, d
-		}
-	}
-	return bestPt, bestG, bestG != nil
 }
 
 func (p *panoCache) touch(e *panoEntry) {

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"errors"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -13,13 +12,12 @@ import (
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/obs"
-	"coterie/internal/ssim"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
 
 // startInstrumentedServer is startServer plus a registry, for tests that
-// assert on the delta/reprojection instruments.
+// assert on the delta instruments.
 func startInstrumentedServer(t *testing.T) (*Server, *obs.Registry, string) {
 	t.Helper()
 	srv := New(poolEnv(t))
@@ -200,7 +198,7 @@ func TestStoreDeltaCache(t *testing.T) {
 		t.Fatal("expected to lead the first render")
 	}
 	frame := make([]byte, 100)
-	seq := st.complete(pt, c, frame, nil, true)
+	seq := st.complete(pt, c, frame, nil)
 	if seq == 0 {
 		t.Fatal("completed render got no sequence number")
 	}
@@ -253,103 +251,6 @@ func TestStoreDeltaCache(t *testing.T) {
 	}
 }
 
-// TestReprojectServeVerifiedOrFallback is the property test of the
-// reprojection fallback rule: walking away from a cached frame, every
-// request is either served a reprojection that passes the horizon-band
-// SSIM check against ray-cast ground truth, or falls back (returns nil)
-// with the reject counter accounting for every verification failure.
-// Close to the source the warp must actually succeed — the path cannot be
-// vacuously "all fallback".
-func TestReprojectServeVerifiedOrFallback(t *testing.T) {
-	srv, reg, _ := startInstrumentedServer(t)
-	scene := srv.env.Game.Scene
-	grid := scene.Grid
-	spawn := grid.Snap(srv.env.Game.Spawn)
-	if _, err := srv.FrameFor(spawn); err != nil {
-		t.Fatal(err)
-	}
-
-	served, fell := 0, 0
-	for di := 1; di <= 20; di += 2 {
-		pt := geom.GridPoint{I: spawn.I + di, J: spawn.J}
-		if !grid.In(pt) {
-			continue
-		}
-		pos := grid.Pos(pt)
-		leaf := srv.env.Map.LeafAt(pos)
-		if leaf == nil {
-			continue
-		}
-		rp := srv.tryReproject(pt, pos, leaf)
-		if rp == nil {
-			fell++
-			continue
-		}
-		served++
-		// Re-verify independently against a full ray-cast render: the band
-		// the server checked must hold on re-computation, and the whole
-		// frame must stay close to the good bar (the band is chosen where
-		// parallax error concentrates, so it bounds the rest).
-		gt := srv.env.Renderer.Panorama(scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
-		full, err := ssim.Mean(rp, gt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full < ssim.GoodThreshold-0.05 {
-			t.Errorf("served reprojection at d=%d has full-frame SSIM %.4f", di, full)
-		}
-		if !srv.verifyReproject(rp, pos, leaf) {
-			t.Errorf("served reprojection at d=%d fails re-verification", di)
-		}
-		srv.env.Renderer.ReleaseGray(rp)
-	}
-	if served == 0 {
-		t.Fatal("no reprojection was ever served — the path is vacuous")
-	}
-	snap := reg.Snapshot()
-	if hits := snap.Counters["server.reproject_hits"]; hits != int64(served) {
-		t.Errorf("server.reproject_hits = %d, served %d", hits, served)
-	}
-	if rejects := snap.Counters["server.reproject_rejects"]; rejects > int64(fell) {
-		t.Errorf("server.reproject_rejects = %d exceeds fallbacks %d", rejects, fell)
-	}
-	t.Logf("reprojection: %d served, %d fell back (rejects %d)",
-		served, fell, reg.Snapshot().Counters["server.reproject_rejects"])
-}
-
-// TestReprojectToggle pins SetReprojectEnabled: disabled, every miss
-// ray-casts in full and the reprojection counters stay at zero even with
-// a perfect source cached; enabled, the next adjacent miss consults the
-// reprojector exactly once.
-func TestReprojectToggle(t *testing.T) {
-	srv, reg, _ := startInstrumentedServer(t)
-	srv.SetReprojectEnabled(false)
-	grid := srv.env.Game.Scene.Grid
-	spawn := grid.Snap(srv.env.Game.Spawn)
-	if _, err := srv.FrameFor(spawn); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.FrameFor(geom.GridPoint{I: spawn.I + 1, J: spawn.J}); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if n := snap.Counters["server.reproject_hits"] + snap.Counters["server.reproject_rejects"]; n != 0 {
-		t.Fatalf("reprojection consulted %d times while disabled", n)
-	}
-	if _, rendered := srv.Stats(); rendered != 2 {
-		t.Fatalf("rendered %d frames, want 2 full renders", rendered)
-	}
-
-	srv.SetReprojectEnabled(true)
-	if _, err := srv.FrameFor(geom.GridPoint{I: spawn.I, J: spawn.J + 1}); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if n := snap.Counters["server.reproject_hits"] + snap.Counters["server.reproject_rejects"]; n != 1 {
-		t.Fatalf("reprojection consulted %d times after re-enable, want 1", n)
-	}
-}
-
 // TestRunLiveTinyRefBudget runs a live session whose reference store holds
 // barely two frames, forcing continuous evictions and MsgEvictNotice
 // traffic interleaved with frame requests. The session must stay clean:
@@ -357,9 +258,9 @@ func TestReprojectToggle(t *testing.T) {
 // still holds (a single failed DeltaDecode aborts the run).
 func TestRunLiveTinyRefBudget(t *testing.T) {
 	env := poolEnv(t)
-	srv, addr := startLiveServer(t)
+	srv, addr := startLiveServer(t, nil)
 	tr := trace.Generate(env.Game, 2, 7)
-	warmServer(t, srv, tr)
+	seedServer(t, srv, tr)
 
 	live, err := RunLive(env, addr, tr, 0, LiveConfig{
 		Speed:        4,

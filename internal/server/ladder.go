@@ -3,33 +3,22 @@ package server
 import (
 	"math"
 
-	"coterie/internal/cutoff"
 	"coterie/internal/geom"
-	"coterie/internal/img"
 )
 
-// This file is the quality-degrade ladder: the frames the server serves
+// This file is the quality-degrade ladder: the frame the server serves
 // when a request's deadline can no longer afford the frame it asked for.
-// Every rung stays inside the paper's similarity bound — SSIM ≥
-// ssim.GoodThreshold against the true frame — either by construction
-// (rung 1 serves a cached frame within the leaf's calibrated DistThresh,
-// the distance below which SSIM ≥ 0.90 by §4.4) or by measurement
-// (rungs 2 and 3 are verified against a ray-cast ground-truth band
-// before being served). The ladder degrades latency into similarity,
-// never into visible quality below the bar.
+// The ladder has one rung, the paper's own reuse rule: serve a cached
+// frame within the leaf's calibrated DistThresh, the distance below which
+// SSIM ≥ ssim.GoodThreshold by §4.4. The ladder degrades latency into
+// similarity, never into visible quality below the bar, and never
+// synthesizes a frame.
 
 // maxStaleRadius bounds the ring scan for a stale substitute, in grid
 // steps. DistThresh rarely exceeds a few steps in calibrated maps; the
 // cap keeps a pathological threshold from turning the fallback into a
 // store sweep.
 const maxStaleRadius = 6
-
-// degradeLowResFactor is the resolution divisor for rung-3 renders: half
-// resolution per axis quarters the ray count, cutting render cost ~4×
-// while the upscale's blur stays within the SSIM bar for the smooth
-// far-background content the far-BE layer carries (verified per frame
-// regardless).
-const degradeLowResFactor = 2
 
 // staleFor looks for a cached frame the similarity calibration vouches
 // for as a stand-in for pt: a stored frame within the leaf's DistThresh,
@@ -92,26 +81,4 @@ func chebyshevRing(pt geom.GridPoint, r int) []geom.GridPoint {
 			geom.GridPoint{I: pt.I + r, J: pt.J + dj})
 	}
 	return ring
-}
-
-// tryLowRes is the ladder's last rung: render the panorama at reduced
-// resolution, upscale to full size, and verify the result against the
-// same ray-cast ground-truth band the reprojection path uses. nil means
-// the upscale failed verification (scene content too sharp for the
-// blur) and the caller falls back to a full render. The returned raster
-// is renderer-owned, exactly like Panorama's.
-func (s *Server) tryLowRes(pos geom.Vec2, leaf *cutoff.Region) *img.Gray {
-	lr := s.env.Renderer.LowRes(degradeLowResFactor)
-	if lr == nil {
-		return nil
-	}
-	small := lr.Panorama(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
-	up := s.env.Renderer.UpscaleToFull(small)
-	lr.ReleaseGray(small)
-	if !s.verifyReproject(up, pos, leaf) {
-		s.obs.lowresRejects.Inc()
-		s.env.Renderer.ReleaseGray(up)
-		return nil
-	}
-	return up
 }

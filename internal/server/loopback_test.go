@@ -19,11 +19,16 @@ import (
 )
 
 // startLiveServer runs a full live server — frames over TCP, FI sync over
-// UDP on the same port — under a cancellable context.
-func startLiveServer(t *testing.T) (*Server, string) {
+// UDP on the same port — under a cancellable context. configure, when
+// non-nil, sets the server's knobs and instruments before it starts
+// serving, so no setting races a session.
+func startLiveServer(t *testing.T, configure func(*Server)) (*Server, string) {
 	t.Helper()
 	srv := New(poolEnv(t))
 	srv.DrainTimeout = 2 * time.Second
+	if configure != nil {
+		configure(srv)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +76,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 // live byte counts are checked against the server's own accounting.
 func TestLoopbackMatchesSim(t *testing.T) {
 	env := poolEnv(t)
-	srv, addr := startLiveServer(t)
+	srv, addr := startLiveServer(t, nil)
 	tr := trace.Generate(env.Game, 2, 7)
 
-	warmServer(t, srv, tr)
+	seedServer(t, srv, tr)
 
 	sim, err := core.RunSession(env, core.SessionConfig{
 		System:  core.Coterie,
@@ -136,31 +141,54 @@ func TestLoopbackMatchesSim(t *testing.T) {
 // aligned with the simulated one.
 func warmServer(t *testing.T, srv *Server, tr *trace.Trace) {
 	t.Helper()
-	bounds := geom.Rect{MinX: tr.Pos[0].X, MinZ: tr.Pos[0].Z, MaxX: tr.Pos[0].X, MaxZ: tr.Pos[0].Z}
-	for _, p := range tr.Pos {
-		if p.X < bounds.MinX {
-			bounds.MinX = p.X
-		}
-		if p.Z < bounds.MinZ {
-			bounds.MinZ = p.Z
-		}
-		if p.X > bounds.MaxX {
-			bounds.MaxX = p.X
-		}
-		if p.Z > bounds.MaxZ {
-			bounds.MaxZ = p.Z
-		}
-	}
-	// Margin covers the prefetcher's lookahead predictions (a few grid
-	// steps) without ballooning the prerender set: the pool grid is 1/32 m,
-	// so every 0.25 m of margin is 8 grid steps in each direction.
-	bounds.MinX -= 0.25
-	bounds.MinZ -= 0.25
-	bounds.MaxX += 0.25
-	bounds.MaxZ += 0.25
-	if _, err := srv.PrerenderRegion(bounds, 1, 0); err != nil {
+	if _, err := srv.PrerenderRegion(warmRegion(tr), 1, 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// warmedFrames memoises, per warm region, the frames one warmServer pass
+// renders: geom.Rect -> map[geom.GridPoint][]byte.
+var warmedFrames sync.Map
+
+// seedServer leaves srv's store holding exactly what warmServer would put
+// there, ray-casting each region once per test binary instead of once per
+// server. That is sound because a rendered frame is a pure function of
+// its grid point (TestPrerenderDeterministicAcrossWorkers). The
+// byte-identity tests call warmServer instead: they check that property
+// rather than rely on it.
+func seedServer(t *testing.T, srv *Server, tr *trace.Trace) {
+	t.Helper()
+	region := warmRegion(tr)
+	v, ok := warmedFrames.Load(region)
+	if !ok {
+		src := New(srv.env)
+		warmServer(t, src, tr)
+		frames := make(map[geom.GridPoint][]byte)
+		for i := range src.store.shards {
+			for pt, e := range src.store.shards[i].entries {
+				frames[pt] = e.data
+			}
+		}
+		v, _ = warmedFrames.LoadOrStore(region, frames)
+	}
+	for pt, data := range v.(map[geom.GridPoint][]byte) {
+		if _, _, hit, c, leader := srv.store.lookup(pt); !hit && leader {
+			srv.store.complete(pt, c, data, nil)
+		}
+	}
+}
+
+// warmRegion is the trace's bounding box plus a margin that covers the
+// prefetcher's lookahead predictions (a few grid steps) without
+// ballooning the prerender set: the pool grid is 1/32 m, so every 0.25 m
+// of margin is 8 grid steps in each direction.
+func warmRegion(tr *trace.Trace) geom.Rect {
+	r := geom.Rect{MinX: tr.Pos[0].X, MinZ: tr.Pos[0].Z, MaxX: tr.Pos[0].X, MaxZ: tr.Pos[0].Z}
+	for _, p := range tr.Pos {
+		r.MinX, r.MinZ = min(r.MinX, p.X), min(r.MinZ, p.Z)
+		r.MaxX, r.MaxZ = max(r.MaxX, p.X), max(r.MaxZ, p.Z)
+	}
+	return geom.Rect{MinX: r.MinX - 0.25, MinZ: r.MinZ - 0.25, MaxX: r.MaxX + 0.25, MaxZ: r.MaxZ + 0.25}
 }
 
 // TestLoopbackObsCountersMatchSim runs the same trace through both
@@ -177,9 +205,9 @@ func warmServer(t *testing.T, srv *Server, tr *trace.Trace) {
 // on every attempt.
 func TestLoopbackObsCountersMatchSim(t *testing.T) {
 	env := poolEnv(t)
-	srv, addr := startLiveServer(t)
+	srv, addr := startLiveServer(t, nil)
 	tr := trace.Generate(env.Game, 2, 7)
-	warmServer(t, srv, tr)
+	seedServer(t, srv, tr)
 
 	simReg := obs.NewRegistry()
 	sim, err := core.RunSession(env, core.SessionConfig{
@@ -278,9 +306,9 @@ func itoa(v int64) string { return fmt.Sprintf("%d", v) }
 // sim-vs-live equivalence tests use.
 func TestLoopbackTraceDecompositionAndQoE(t *testing.T) {
 	env := poolEnv(t)
-	srv, addr := startLiveServer(t)
+	srv, addr := startLiveServer(t, nil)
 	tr := trace.Generate(env.Game, 2, 7)
-	warmServer(t, srv, tr)
+	seedServer(t, srv, tr)
 
 	simReg := obs.NewRegistry()
 	if _, err := core.RunSession(env, core.SessionConfig{
@@ -479,7 +507,7 @@ func expectSessionClose(t *testing.T, nc net.Conn) {
 }
 
 func TestSessionLoopRejectsMalformedInput(t *testing.T) {
-	_, addr := startLiveServer(t)
+	_, addr := startLiveServer(t, nil)
 
 	t.Run("unknown type", func(t *testing.T) {
 		nc := dialRaw(t, addr)
@@ -544,7 +572,7 @@ func TestServeContextDrainsOnCancel(t *testing.T) {
 }
 
 func TestSessionStatsRecorded(t *testing.T) {
-	srv, addr := startLiveServer(t)
+	srv, addr := startLiveServer(t, nil)
 	cl, err := Dial(addr, "pool", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -669,11 +697,9 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 	env := poolEnv(t)
 	tr := trace.Generate(env.Game, 2, 11)
 
-	srvOn, addrOn := startLiveServer(t)
 	regOn := obs.NewRegistry()
-	srvOn.Instrument(regOn)
-	srvOff, addrOff := startLiveServer(t)
-	srvOff.SetSchedEnabled(false)
+	srvOn, addrOn := startLiveServer(t, func(s *Server) { s.Instrument(regOn) })
+	srvOff, addrOff := startLiveServer(t, func(s *Server) { s.SetSchedEnabled(false) })
 	warmServer(t, srvOn, tr)
 	warmServer(t, srvOff, tr)
 
@@ -717,8 +743,6 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 		}
 	}
 	if n := regOn.Counter("server.degrade_stale").Value() +
-		regOn.Counter("server.degrade_reproject").Value() +
-		regOn.Counter("server.degrade_lowres").Value() +
 		regOn.Counter("server.sched.sheds").Value(); n != 0 {
 		t.Errorf("unloaded raw session took %d degrade/shed actions", n)
 	}
@@ -768,8 +792,6 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 		}
 	}
 	if n := regOn.Counter("server.degrade_stale").Value() +
-		regOn.Counter("server.degrade_reproject").Value() +
-		regOn.Counter("server.degrade_lowres").Value() +
 		regOn.Counter("server.sched.sheds").Value(); n != 0 {
 		t.Errorf("unloaded live pipeline took %d degrade/shed actions", n)
 	}

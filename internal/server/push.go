@@ -276,7 +276,7 @@ func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
 	s.obs.udpFrameReqs.Inc()
 	go func() {
 		defer func() { <-u.sem }()
-		data, _, _, _, _, _, err := s.frameForStaged(req.Point, 0, 0)
+		data, _, _, _, _, err := s.frameForStaged(req.Point, 0, 0)
 		if err != nil {
 			return // client falls back to TCP
 		}

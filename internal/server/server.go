@@ -23,7 +23,6 @@ import (
 	"coterie/internal/core"
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
-	"coterie/internal/img"
 	"coterie/internal/obs"
 	"coterie/internal/sched"
 	"coterie/internal/transport"
@@ -50,17 +49,15 @@ type Server struct {
 	// point. Budget via SetStoreBudget.
 	store *frameStore
 
-	// panos caches the decoded reconstruction of recently rendered frames
-	// (what a client that decoded the served bytes sees). The delta path
-	// encodes residuals between reconstructions, and the reprojection path
-	// warps them into nearby viewpoints instead of re-rendering.
+	// panos caches the decoded reconstruction of recently served frames
+	// (what a client that decoded the served bytes sees); the delta path
+	// encodes residuals between reconstructions.
 	panos *panoCache
 
-	// deltaOff / reprojOff disable the delta and reprojection paths; the
-	// zero value (both enabled) is the production configuration. Inverted
-	// so the zero-valued Server keeps today's defaults.
-	deltaOff  atomic.Bool
-	reprojOff atomic.Bool
+	// deltaOff disables the delta path; the zero value (enabled) is the
+	// production configuration. Inverted so the zero-valued Server keeps
+	// today's defaults.
+	deltaOff atomic.Bool
 
 	// sched gates every render leader: an EDF queue with a concurrency
 	// knee (SetMaxInflight) and admission control, so a request whose
@@ -128,7 +125,7 @@ type serverObs struct {
 	sessionErrors  *obs.Counter
 	sessionsActive *obs.Gauge
 	renderMs       *obs.Histogram
-	udpDatagrams *obs.Counter
+	udpDatagrams   *obs.Counter
 	// Malformed / stale / overflow drops are split so the datagram frame
 	// path is debuggable from /metrics: a parse failure, a frame behind
 	// the delivery window, and a reassembly-cap eviction are three very
@@ -149,14 +146,9 @@ type serverObs struct {
 	udpNacks       *obs.Counter
 	deltaFrames    *obs.Counter
 	deltaSaved     *obs.Counter
-	reprojHits     *obs.Counter
-	reprojRejects  *obs.Counter
 
 	// Deadline scheduling and the quality-degrade ladder.
 	degradeStale   *obs.Counter
-	degradeReproj  *obs.Counter
-	degradeLowres  *obs.Counter
-	lowresRejects  *obs.Counter
 	deadlineMet    *obs.Counter
 	deadlineMisses *obs.Counter
 	deadlineMissMs *obs.Histogram
@@ -196,40 +188,35 @@ func (s *Server) Instrument(r *obs.Registry) {
 		return
 	}
 	s.obs = serverObs{
-		framesServed:   r.Counter("server.frames_served"),
-		framesRendered: r.Counter("server.frames_rendered"),
-		frameStoreHits: r.Counter("server.frame_store_hits"),
-		renderShared:   r.Counter("server.renders_shared"),
-		bytesSent:      r.Counter("server.frame_bytes_sent"),
-		fiSyncs:        r.Counter("server.fi_syncs"),
-		sessionsTotal:  r.Counter("server.sessions_total"),
-		sessionErrors:  r.Counter("server.session_errors"),
-		sessionsActive: r.Gauge("server.sessions_active"),
-		renderMs:       r.Histogram("server.render_ms"),
-		udpDatagrams:   r.Counter("server.udp.datagrams"),
+		framesServed:        r.Counter("server.frames_served"),
+		framesRendered:      r.Counter("server.frames_rendered"),
+		frameStoreHits:      r.Counter("server.frame_store_hits"),
+		renderShared:        r.Counter("server.renders_shared"),
+		bytesSent:           r.Counter("server.frame_bytes_sent"),
+		fiSyncs:             r.Counter("server.fi_syncs"),
+		sessionsTotal:       r.Counter("server.sessions_total"),
+		sessionErrors:       r.Counter("server.session_errors"),
+		sessionsActive:      r.Gauge("server.sessions_active"),
+		renderMs:            r.Histogram("server.render_ms"),
+		udpDatagrams:        r.Counter("server.udp.datagrams"),
 		udpDroppedMalformed: r.Counter("server.udp.dropped_malformed"),
 		udpDroppedStale:     r.Counter("server.udp.dropped_stale"),
 		udpDroppedOverflow:  r.Counter("server.udp.dropped_overflow"),
-		udpBytesIn:     r.Counter("server.udp.bytes_in"),
-		udpBytesOut:    r.Counter("server.udp.bytes_out"),
-		pushFrames:     r.Counter("server.udp.push_frames"),
-		pushBytes:      r.Counter("server.udp.push_bytes"),
-		pushSkips:      r.Counter("server.udp.push_skips"),
-		udpFrameReqs:   r.Counter("server.udp.frame_reqs"),
-		udpRetransmits: r.Counter("server.udp.retransmits"),
-		udpNacks:       r.Counter("server.udp.nacks"),
-		deltaFrames:    r.Counter("server.delta_frames"),
-		deltaSaved:     r.Counter("server.delta_bytes_saved"),
-		reprojHits:     r.Counter("server.reproject_hits"),
-		reprojRejects:  r.Counter("server.reproject_rejects"),
-		degradeStale:   r.Counter("server.degrade_stale"),
-		degradeReproj:  r.Counter("server.degrade_reproject"),
-		degradeLowres:  r.Counter("server.degrade_lowres"),
-		lowresRejects:  r.Counter("server.lowres_rejects"),
-		deadlineMet:    r.Counter("server.deadline_met"),
-		deadlineMisses: r.Counter("server.deadline_misses"),
-		deadlineMissMs: r.Histogram("server.deadline_miss_ms"),
-		udpSendErrors:  r.Counter("server.udp_send_errors"),
+		udpBytesIn:          r.Counter("server.udp.bytes_in"),
+		udpBytesOut:         r.Counter("server.udp.bytes_out"),
+		pushFrames:          r.Counter("server.udp.push_frames"),
+		pushBytes:           r.Counter("server.udp.push_bytes"),
+		pushSkips:           r.Counter("server.udp.push_skips"),
+		udpFrameReqs:        r.Counter("server.udp.frame_reqs"),
+		udpRetransmits:      r.Counter("server.udp.retransmits"),
+		udpNacks:            r.Counter("server.udp.nacks"),
+		deltaFrames:         r.Counter("server.delta_frames"),
+		deltaSaved:          r.Counter("server.delta_bytes_saved"),
+		degradeStale:        r.Counter("server.degrade_stale"),
+		deadlineMet:         r.Counter("server.deadline_met"),
+		deadlineMisses:      r.Counter("server.deadline_misses"),
+		deadlineMissMs:      r.Histogram("server.deadline_miss_ms"),
+		udpSendErrors:       r.Counter("server.udp_send_errors"),
 
 		peerFrames:       r.Counter("server.peer_frames"),
 		peerFailovers:    r.Counter("server.peer_failovers"),
@@ -303,11 +290,6 @@ func New(env *core.Env) *Server {
 // off every frame is served intra-coded; the toggle exists for A/B runs
 // (the bytes-per-frame benchmark) and tests. Safe to call at any time.
 func (s *Server) SetDeltaEnabled(on bool) { s.deltaOff.Store(!on) }
-
-// SetReprojectEnabled toggles reprojection synthesis (enabled by default).
-// With it off every cache miss ray-casts a full panorama. Safe to call at
-// any time.
-func (s *Server) SetReprojectEnabled(on bool) { s.reprojOff.Store(!on) }
 
 // SetSchedEnabled toggles the deadline scheduler (enabled by default).
 // With it off, render leaders run unscheduled and unshed — the
@@ -384,26 +366,25 @@ func (s *Server) FrameFor(pt geom.GridPoint) ([]byte, error) {
 // frameFor additionally reports whether this call rendered the frame.
 // Deadline-less: never shed, never degraded.
 func (s *Server) frameFor(pt geom.GridPoint) ([]byte, bool, error) {
-	data, rendered, _, _, _, _, err := s.frameForStaged(pt, 0, 0)
+	data, rendered, _, _, _, err := s.frameForStaged(pt, 0, 0)
 	return data, rendered, err
 }
 
 // frameForStaged is frameFor plus the stage decomposition for the reply's
 // trace context, the frame's store sequence number (the identity the
-// delta path names references by), and the degrade rung that produced the
-// bytes. Concurrent calls for the same point share one render: the first
-// caller renders (and reports render/encode spans), the rest block on its
-// result (and report the wait as queue time, inheriting its rung), so
-// rendered counts are exact and all callers share one buffer.
+// delta path names references by), and where the bytes came from. The
+// bytes are always the exact frame of pt: a store hit, a peer's copy, or
+// a full ray-cast, which is a pure function of the grid point.
+// Concurrent calls for the same point share one render: the first caller
+// renders (and reports render/encode spans), the rest block on its result
+// (and report the wait as queue time), so rendered counts are exact and
+// all callers share one buffer.
 //
 // deadlineMs is the request's absolute wall-clock deadline (<= 0: none).
 // Render leaders pass through the EDF scheduler: they wait for a slot in
-// deadline order (the wait lands in QueueMs), are shed with errOverloaded
-// when admission control rejects them, and — when the slot arrives with
-// the deadline already at risk — render via the quality-degrade ladder
-// instead of the full ray-cast. Deadline-less callers (prerender, tests,
-// unloaded clients) take the slot gate too but sort last and never
-// degrade, so their output is byte-identical to the unscheduled path.
+// deadline order (the wait lands in QueueMs) and are shed with
+// errOverloaded when admission control rejects them. The scheduler only
+// orders and sheds work; it never changes the bytes a render produces.
 // frameForStaged allows the peer hop; the MsgPeerFrameRequest handler
 // calls frameForStagedOpt with allowPeer=false so a membership
 // disagreement between nodes can never chain proxy hops into a loop.
@@ -413,14 +394,14 @@ func (s *Server) frameFor(pt geom.GridPoint) ([]byte, bool, error) {
 // prerender). It is forwarded verbatim across the peer hop and stamped on
 // the hop span this node records, so the client span, this node's hop
 // span, and the owner's serve span join on one id.
-func (s *Server) frameForStaged(pt geom.GridPoint, deadlineMs float64, traceID uint64) ([]byte, bool, uint64, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
+func (s *Server) frameForStaged(pt geom.GridPoint, deadlineMs float64, traceID uint64) ([]byte, bool, uint64, transport.FrameOrigin, frameStages, error) {
 	return s.frameForStagedOpt(pt, deadlineMs, traceID, true)
 }
 
-func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceID uint64, allowPeer bool) ([]byte, bool, uint64, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
+func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceID uint64, allowPeer bool) ([]byte, bool, uint64, transport.FrameOrigin, frameStages, error) {
 	var stg frameStages
 	if !s.env.Game.Scene.Grid.In(pt) {
-		return nil, false, 0, transport.RungExact, transport.OriginLocal, stg, fmt.Errorf("server: grid point %v outside world", pt)
+		return nil, false, 0, transport.OriginLocal, stg, fmt.Errorf("server: grid point %v outside world", pt)
 	}
 	data, seq, ok, c, leader := s.store.lookup(pt)
 	if ok {
@@ -428,14 +409,14 @@ func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceI
 		// originally peer-fetched: that is the read-through replication
 		// paying off, and Origin describes this serve, not the history.
 		s.obs.frameStoreHits.Inc()
-		return data, false, seq, transport.RungExact, transport.OriginLocal, stg, nil
+		return data, false, seq, transport.OriginLocal, stg, nil
 	}
 	if !leader {
 		s.obs.renderShared.Inc()
 		waitStart := time.Now()
 		<-c.done
 		stg.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
-		return c.data, false, c.seq, c.rung, c.origin, stg, c.err
+		return c.data, false, c.seq, c.origin, stg, c.err
 	}
 
 	// Cluster ownership gate: a leader for a remotely owned point
@@ -462,9 +443,8 @@ func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceI
 					// network transit — is this node's proxy overhead and
 					// is split out as HopMs, so the client's NetMs stays
 					// pure client↔proxy transit.
-					keep := reply.Rung != transport.RungLowRes
-					c.rung, c.origin = reply.Rung, transport.OriginPeer
-					seq = s.store.complete(pt, c, reply.Data, nil, keep)
+					c.origin = transport.OriginPeer
+					seq = s.store.complete(pt, c, reply.Data, nil)
 					stg.QueueMs += reply.QueueMs
 					stg.RenderMs = reply.RenderMs
 					stg.EncodeMs = reply.EncodeMs
@@ -490,7 +470,7 @@ func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceI
 							Origin:    uint8(transport.OriginPeer),
 						})
 					}
-					return reply.Data, false, seq, reply.Rung, transport.OriginPeer, stg, nil
+					return reply.Data, false, seq, transport.OriginPeer, stg, nil
 				}
 			}
 			origin = transport.OriginFailover
@@ -498,114 +478,61 @@ func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceI
 		}
 	}
 
-	rushed := false
 	if useSched {
-		info, admitted := s.sched.Acquire(deadlineMs)
+		queueMs, admitted := s.sched.Acquire(deadlineMs)
 		if !admitted {
 			err := errOverloaded
-			s.store.complete(pt, c, nil, err, false)
-			return nil, false, 0, transport.RungExact, origin, stg, err
+			s.store.complete(pt, c, nil, err)
+			return nil, false, 0, origin, stg, err
 		}
-		stg.QueueMs += info.QueueMs
-		rushed = info.Rushed && !s.degradeOff.Load()
+		stg.QueueMs += queueMs
 	}
 
 	var err error
-	var clean *img.Gray
-	var rung transport.DegradeRung
-	data, clean, rung, stg.RenderMs, stg.EncodeMs, err = s.render(pt, rushed)
+	data, stg.RenderMs, stg.EncodeMs, err = s.render(pt)
 	if useSched {
-		// Only full ray-casts (clean raster produced) feed the cost EWMA:
-		// the ladder's projections must estimate a *full* render.
-		fullCost := 0.0
-		if err == nil && clean != nil {
-			fullCost = stg.RenderMs + stg.EncodeMs
+		cost := 0.0
+		if err == nil {
+			cost = stg.RenderMs + stg.EncodeMs
 		}
-		s.sched.Release(fullCost)
+		s.sched.Release(cost)
 	}
 	s.obs.renderMs.Observe(stg.RenderMs + stg.EncodeMs)
 	if err == nil {
 		s.rendered.Add(1)
 		s.obs.framesRendered.Inc()
 	}
-	// Low-res frames are served (and inherited by joiners) but never
-	// stored: a later unloaded request must re-render the exact frame, not
-	// inherit deadline-pressure quality as a rung-0 store hit.
-	keep := rung != transport.RungLowRes
-	c.rung, c.origin = rung, origin
-	seq = s.store.complete(pt, c, data, err, keep)
-	if err == nil && keep && (!s.deltaOff.Load() || !s.reprojOff.Load()) {
-		// Cache both views of the render: the client-visible reconstruction
-		// (the delta path's reference — residuals must be computed against
-		// what the client decoded) and, for full ray-casts, the clean raster
-		// (the reprojection path's warp source — sourcing warps from a lossy
-		// decode would compound codec loss across synthesized frames).
-		recon, derr := codec.Decode(data)
-		if derr != nil {
-			recon = nil
+	c.origin = origin
+	seq = s.store.complete(pt, c, data, err)
+	if err == nil && !s.deltaOff.Load() {
+		// Cache the client-visible reconstruction: the delta path computes
+		// residuals against what the client decoded, not the clean render.
+		if recon, derr := codec.Decode(data); derr == nil {
+			s.panos.put(pt, seq, recon)
 		}
-		s.panos.put(pt, seq, recon, clean)
-	} else if clean != nil {
-		s.env.Renderer.ReleaseGray(clean)
 	}
-	return data, err == nil, seq, rung, origin, stg, err
+	return data, err == nil, seq, origin, stg, err
 }
 
-// render produces the encoded far-BE panorama for an in-grid point,
+// render ray-casts and encodes the far-BE panorama for an in-grid point,
 // reporting the render and encode spans separately (wall milliseconds).
-// When a recently rendered nearby frame is cached, the panorama is first
-// attempted as a reprojection of it (SSIM-verified against a ray-cast
-// sample band); only when that fails is the scene ray-cast in full —
-// unless rushed, in which case the remaining ladder rung (a reduced-
-// resolution render upscaled to full size, verified against the same
-// band) is tried before falling back to the full ray-cast.
-//
-// The returned rung tags deadline-pressure degradation: a reprojection
-// that the normal path would have served anyway is RungExact unless
-// rushed forced it to stand in for a render the deadline could not
-// afford.
-//
-// For full ray-casts the pre-encode raster is returned as clean and
-// ownership passes to the caller (it becomes the pano cache's warp
-// source); reprojection- and low-res-served frames return clean == nil
-// so warp error never chains through generations of synthesis.
-func (s *Server) render(pt geom.GridPoint, rushed bool) (data []byte, clean *img.Gray, rung transport.DegradeRung, renderMs, encodeMs float64, err error) {
+// The output is a pure function of the grid point. The raster goes back
+// to the renderer's pool once encoded.
+func (s *Server) render(pt geom.GridPoint) (data []byte, renderMs, encodeMs float64, err error) {
 	pos := s.env.Game.Scene.Grid.Pos(pt)
 	leaf := s.env.Map.LeafAt(pos)
 	if leaf == nil {
-		return nil, nil, transport.RungExact, 0, 0, fmt.Errorf("server: no leaf region at %v", pos)
+		return nil, 0, 0, fmt.Errorf("server: no leaf region at %v", pos)
 	}
 	renderStart := time.Now()
-	var pano *img.Gray
-	synthesized := false // raster came from a pool path and is released post-encode
-	if !s.reprojOff.Load() {
-		if pano = s.tryReproject(pt, pos, leaf); pano != nil {
-			synthesized = true
-			if rushed {
-				rung = transport.RungReproject
-			}
-		}
-	}
-	if pano == nil && rushed {
-		if pano = s.tryLowRes(pos, leaf); pano != nil {
-			synthesized = true
-			rung = transport.RungLowRes
-		}
-	}
-	if pano == nil {
-		pano = s.env.Renderer.Panorama(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
-	}
+	pano := s.env.Renderer.Panorama(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
 	encodeStart := time.Now()
 	data = codec.Encode(pano, s.env.CRF)
-	if synthesized {
-		s.env.Renderer.ReleaseGray(pano) // encoded copy taken; recycle the raster
-	} else {
-		clean = pano // ownership passes to the caller (pano cache)
-	}
+	s.env.Renderer.ReleaseGray(pano)
 	end := time.Now()
 	renderMs = float64(encodeStart.Sub(renderStart)) / float64(time.Millisecond)
 	encodeMs = float64(end.Sub(encodeStart)) / float64(time.Millisecond)
-	return data, clean, rung, renderMs, encodeMs, nil
+	return data, renderMs, encodeMs, nil
 }
 
 // wallMs is the server's trace clock: wall time in unix milliseconds.
@@ -801,13 +728,6 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 				}
 				continue
 			}
-			switch rung {
-			case transport.RungReproject:
-				s.obs.degradeReproj.Inc()
-			case transport.RungLowRes:
-				s.obs.degradeLowres.Inc()
-				// RungStale is counted at the serve site in frameForSession.
-			}
 			s.served.Add(1)
 			s.obs.framesServed.Inc()
 			s.obs.bytesSent.Add(int64(len(data)))
@@ -870,7 +790,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			// the trace id computed here matches the one the proxy stamped
 			// on its hop span — the two nodes' rings join on it.
 			traceID := obs.TraceID(req.Player, req.ReqID)
-			data, _, _, rung, _, stg, err := s.frameForStagedOpt(req.Point, req.DeadlineMs, traceID, false)
+			data, _, _, _, stg, err := s.frameForStagedOpt(req.Point, req.DeadlineMs, traceID, false)
 			if err != nil {
 				if err := c.Send(errMsg(err.Error())); err != nil {
 					return err
@@ -892,7 +812,6 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 					QueueMs:   stg.QueueMs,
 					RenderMs:  stg.RenderMs,
 					EncodeMs:  stg.EncodeMs,
-					DegradeRung: uint8(rung),
 				})
 			}
 			reply := transport.EncodeFrameReply(transport.FrameReply{
@@ -905,7 +824,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 				RenderMs:     stg.RenderMs,
 				EncodeMs:     stg.EncodeMs,
 				Kind:         transport.FrameIntra,
-				Rung:         rung,
+				Rung:         transport.RungExact,
 				Origin:       transport.OriginLocal,
 				Data:         data,
 			})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -209,6 +210,50 @@ func TestPrerenderRegion(t *testing.T) {
 	}
 	if _, after := srv.Stats(); after != rendered {
 		t.Fatal("prerendered frame was re-rendered")
+	}
+}
+
+// TestPrerenderDeterministicAcrossWorkers pins that a served frame is a
+// pure function of its grid point. Two fresh servers pre-render the same
+// region at stride 1 (neighbours as close as the grid allows, where a
+// frame derived from another cached frame would be most tempting), one
+// with a single worker and one with four, so completion order differs;
+// every point must then serve byte-identical frames from both.
+func TestPrerenderDeterministicAcrossWorkers(t *testing.T) {
+	env := poolEnv(t)
+	grid := env.Game.Scene.Grid
+	spawn := grid.Pos(grid.Snap(env.Game.Spawn))
+	region := geom.Rect{MinX: spawn.X, MinZ: spawn.Z, MaxX: spawn.X + 0.25, MaxZ: spawn.Z + 0.25}
+	one, four := New(env), New(env)
+	for _, arm := range []struct {
+		srv     *Server
+		workers int
+	}{{one, 1}, {four, 4}} {
+		stats, err := arm.srv.PrerenderRegion(region, 1, arm.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Points < 64 || stats.Rendered != stats.Points {
+			t.Fatalf("workers=%d: stats %+v, want every point of the region rendered", arm.workers, stats)
+		}
+	}
+	lo := grid.Snap(geom.V2(region.MinX, region.MinZ))
+	hi := grid.Snap(geom.V2(region.MaxX, region.MaxZ))
+	for j := lo.J; j <= hi.J; j++ {
+		for i := lo.I; i <= hi.I; i++ {
+			pt := geom.GridPoint{I: i, J: j}
+			a, err := one.FrameFor(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := four.FrameFor(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("point %v: workers=1 and workers=4 served different bytes (%d vs %d)", pt, len(a), len(b))
+			}
+		}
 	}
 }
 

@@ -25,26 +25,26 @@ import (
 // bytes of fixed overhead.
 const defaultStoreShards = 16
 
-// frameCall is one in-flight render shared by concurrent requesters
-// (singleflight). The leader renders, stores the result, then closes done;
-// joiners block on done and read data/err/seq.
+// frameCall is one in-flight render or peer fetch shared by concurrent
+// requesters (singleflight). The leader obtains the exact frame, stores
+// it, then closes done; joiners block on done and read data, seq, origin
+// and err.
 type frameCall struct {
 	done   chan struct{}
 	data   []byte
 	seq    uint64
-	rung   transport.DegradeRung
 	origin transport.FrameOrigin
 	err    error
 }
 
 // deltaRec is one cached delta encoding of an entry's frame against a
 // reference frame. The key is (refPt, refSeq): a delta is only valid
-// against the exact bytes the client decoded, and reprojection makes
-// re-renders of a point non-identical, so references are named by the
-// store sequence number of the render that produced them — never by grid
-// point alone. The record stays valid after the reference's store entry
-// is evicted (validity depends on what the *client* holds, not the
-// store), but dies with its own entry.
+// against the exact bytes the client decoded, and the reference's store
+// entry may have been evicted and its point re-rendered since, so
+// references are named by the store sequence number of the render that
+// produced them — never by grid point alone. The record stays valid after
+// the reference's store entry is evicted (validity depends on what the
+// *client* holds, not the store), but dies with its own entry.
 type deltaRec struct {
 	refPt  geom.GridPoint
 	refSeq uint64
@@ -246,14 +246,13 @@ func (st *frameStore) putDelta(pt geom.GridPoint, ptSeq uint64, refPt geom.GridP
 }
 
 // complete finishes a call started by lookup: it publishes data/err to the
-// joiners, removes the in-flight marker, and on success — when keep is
-// true — inserts the frame and enforces the byte budget. keep=false
-// (shed calls, transient low-res renders) still publishes to joiners but
-// leaves no store entry and allocates no sequence number, so the bytes
-// can never become a rung-0 hit or a delta reference later. Frames
-// larger than the whole budget are returned to callers but never stored.
-func (st *frameStore) complete(pt geom.GridPoint, c *frameCall, data []byte, err error, keep bool) (seq uint64) {
-	if err == nil && keep {
+// joiners, removes the in-flight marker, and on success inserts the frame
+// and enforces the byte budget. A failed call (a shed, a render error)
+// still publishes to joiners but leaves no store entry and allocates no
+// sequence number. Frames larger than the whole budget are returned to
+// callers but never stored.
+func (st *frameStore) complete(pt geom.GridPoint, c *frameCall, data []byte, err error) (seq uint64) {
+	if err == nil {
 		seq = st.seq.Add(1)
 	}
 	c.data, c.seq, c.err = data, seq, err
@@ -261,7 +260,7 @@ func (st *frameStore) complete(pt geom.GridPoint, c *frameCall, data []byte, err
 	st.lock(sh)
 	delete(sh.calls, pt)
 	budget := st.budget.Load()
-	if err == nil && keep && (budget <= 0 || int64(len(data)) <= budget) {
+	if err == nil && (budget <= 0 || int64(len(data)) <= budget) {
 		if _, dup := sh.entries[pt]; !dup {
 			e := &storeEntry{pt: pt, data: data, seq: seq}
 			sh.entries[pt] = e

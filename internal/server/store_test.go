@@ -19,7 +19,7 @@ func storePut(t *testing.T, st *frameStore, pt geom.GridPoint, size int) {
 	if ok || !leader {
 		t.Fatalf("point %v unexpectedly cached or in flight", pt)
 	}
-	st.complete(pt, c, make([]byte, size), nil, true)
+	st.complete(pt, c, make([]byte, size), nil)
 }
 
 func storeHas(st *frameStore, pt geom.GridPoint) bool {
@@ -31,7 +31,7 @@ func storeHas(st *frameStore, pt geom.GridPoint) bool {
 	if leader {
 		// Undo the speculative call so the store has no dangling in-flight
 		// marker.
-		st.complete(pt, c, nil, errors.New("probe"), true)
+		st.complete(pt, c, nil, errors.New("probe"))
 	}
 	return false
 }
@@ -123,7 +123,7 @@ func TestStoreSingleflightPerPoint(t *testing.T) {
 			case leader:
 				leaders[k].Add(1)
 				data = []byte(fmt.Sprintf("frame-%d", k))
-				st.complete(pt, c, data, nil, true)
+				st.complete(pt, c, data, nil)
 			default:
 				<-c.done
 				data = c.data
@@ -247,7 +247,7 @@ func TestStoreEvictionRacesInFlightDelta(t *testing.T) {
 			}
 			data := make([]byte, 64)
 			data[0] = byte(i)
-			seq := st.complete(pt, c, data, nil, true)
+			seq := st.complete(pt, c, data, nil)
 			st.putDelta(pt, seq, refPt, 7, []byte{byte(i), 1, 2})
 		}
 	}()
