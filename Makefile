@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff smoke loadtest
+.PHONY: check vet build test race bench bench-diff smoke loadtest lines
 
 check: vet build test race
 
@@ -53,3 +53,14 @@ BENCH_OLD ?= BENCH_6.json
 BENCH_NEW ?= BENCH_7.json
 bench-diff:
 	$(GO) run ./scripts $(BENCH_OLD) $(BENCH_NEW)
+
+# Go line counts per package: non-test and test lines (wc -l), the one
+# source for the package inventory in DESIGN.md and the net-lines figures
+# in CHANGES.md.
+lines:
+	@printf '%-34s %8s %8s\n' package non-test test
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		src=$$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		tst=$$(find $$dir -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-34s %8d %8d\n' $$pkg $$src $$tst; \
+	done

@@ -29,10 +29,6 @@ import (
 	"coterie/internal/obs"
 )
 
-// defaultWorkers is the knee when Config.Workers is 0: one render slot
-// per schedulable core.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Config sizes the scheduler.
 type Config struct {
 	// Workers is the concurrency knee: the number of render slots that
@@ -119,7 +115,7 @@ func (h *waiterHeap) Pop() any {
 func New(cfg Config) *Scheduler {
 	w := cfg.Workers
 	if w <= 0 {
-		w = defaultWorkers()
+		w = runtime.GOMAXPROCS(0)
 	}
 	q := cfg.MaxQueue
 	if q <= 0 {
@@ -142,31 +138,6 @@ func (s *Scheduler) Instrument(r *obs.Registry, prefix string) {
 	s.sheds = r.Counter(prefix + ".sheds")
 	s.depth = r.Gauge(prefix + ".queue_depth")
 	s.wait = r.Histogram(prefix + ".queue_wait_ms")
-}
-
-// SetWorkers adjusts the concurrency knee at runtime. Raising it grants
-// slots to queued waiters immediately; lowering it takes effect as
-// running work releases.
-func (s *Scheduler) SetWorkers(n int) {
-	if n <= 0 {
-		n = defaultWorkers()
-	}
-	s.mu.Lock()
-	s.workers = n
-	for s.running < s.workers && s.waiters.Len() > 0 {
-		w := heap.Pop(&s.waiters).(*waiter)
-		s.running++
-		close(w.ready)
-	}
-	s.depth.Set(int64(s.waiters.Len()))
-	s.mu.Unlock()
-}
-
-// Workers returns the current concurrency knee.
-func (s *Scheduler) Workers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workers
 }
 
 // QueueDepth returns the number of parked waiters.
@@ -291,7 +262,7 @@ func (s *Scheduler) Release(fullCostMs float64) {
 	if fullCostMs > 0 {
 		s.costMs += costEWMAWeight * (fullCostMs - s.costMs)
 	}
-	if s.waiters.Len() > 0 && s.running <= s.workers {
+	if s.waiters.Len() > 0 {
 		w := heap.Pop(&s.waiters).(*waiter)
 		s.depth.Set(int64(s.waiters.Len()))
 		close(w.ready) // slot transfers: running count unchanged

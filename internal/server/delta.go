@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"coterie/internal/codec"
@@ -38,7 +39,7 @@ const maxHeldRefs = 64
 // Single-goroutine use by the session loop; no locking.
 type sessionRefs struct {
 	held  map[geom.GridPoint]uint64
-	order []geom.GridPoint // promotion order; may hold stale points
+	order []geom.GridPoint // the keys of held, oldest promotion first
 
 	// pending is the intra frame sent in the latest reply. It is promoted
 	// to held when the next client message arrives: the protocol is
@@ -69,78 +70,84 @@ func (sr *sessionRefs) promote() {
 		sr.order = append(sr.order, sr.pendingPt)
 	}
 	sr.held[sr.pendingPt] = sr.pendingSeq
-	for len(sr.held) > maxHeldRefs && len(sr.order) > 0 {
-		victim := sr.order[0]
+	if len(sr.order) > maxHeldRefs {
+		delete(sr.held, sr.order[0])
 		sr.order = sr.order[1:]
-		delete(sr.held, victim)
 	}
 }
 
-// drop removes client-evicted points from the holdings.
+// drop removes client-evicted points from the holdings, and from order
+// too, so a long session's evictions cannot grow order without bound and
+// a re-promoted point is ordered by its latest promotion only.
 func (sr *sessionRefs) drop(pts []geom.GridPoint) {
 	for _, pt := range pts {
-		delete(sr.held, pt)
+		if _, ok := sr.held[pt]; ok {
+			delete(sr.held, pt)
+			i := slices.Index(sr.order, pt)
+			sr.order = slices.Delete(sr.order, i, i+1)
+		}
 		if sr.hasPending && pt == sr.pendingPt {
 			sr.hasPending = false
 		}
 	}
 }
 
-// frameForSession serves one frame request inside a session: the intra
-// frame from the store, re-coded as a delta against the best reference
-// the client holds whenever that wins bytes. Intra serves register the
-// frame as the session's next pending reference; delta serves do not
-// (delta frames never become references).
+// sessionFrame is the session step on top of the exact chain: it serves
+// one client request inside a session, re-coding the exact frame as a
+// delta against the best reference the client holds whenever that wins
+// bytes. Intra serves register the frame as the session's next pending
+// reference; delta serves do not (delta frames never become references).
 //
 // deadlineMs (absolute server wall ms; <=0 none) arms the degrade
-// ladder. Before committing to the render path, a deadline the
-// scheduler projects as already at risk is served from the stale rung
-// when a calibrated substitute is cached (a store hit needs no such
-// rescue — it is the substitute); the same fallback rescues a request
-// shed by admission control. Stale serves bypass the delta path and
-// never become references: their bytes are not the render of pt a later
-// delta would have to name.
-func (s *Server) frameForSession(pt geom.GridPoint, deadlineMs float64, traceID uint64, sr *sessionRefs) (data []byte, kind transport.FrameEncoding, ref geom.GridPoint, rung transport.DegradeRung, origin transport.FrameOrigin, stg frameStages, err error) {
+// ladder. Before committing to the chain, a deadline the scheduler
+// projects as already at risk is served from the stale rung when a
+// calibrated substitute is cached (a store hit needs no such rescue — it
+// is the substitute); the same fallback rescues a request shed by
+// admission control. Stale serves bypass the delta path and never become
+// references: their bytes are not the render of pt a later delta would
+// have to name.
+func (s *Server) sessionFrame(pt geom.GridPoint, deadlineMs float64, traceID uint64, sr *sessionRefs) (frame, error) {
 	if deadlineMs > 0 && !s.schedOff.Load() && !s.degradeOff.Load() &&
 		s.sched.AtRisk(wallMs(), deadlineMs) {
-		if stale, refPt, seq, ok := s.staleFor(pt); ok {
-			if refPt == pt {
+		if f, ok := s.staleFor(pt); ok {
+			if f.rung == transport.RungExact {
 				// The exact frame is cached: serve it as the store hit it is
 				// and let the delta path shrink it as usual.
 				s.obs.frameStoreHits.Inc()
-				return s.deltaOrIntra(pt, seq, stale, sr, transport.OriginLocal, stg)
+				return s.deltaCoded(pt, f, sr), nil
 			}
 			s.obs.degradeStale.Inc()
-			return stale, transport.FrameIntra, geom.GridPoint{}, transport.RungStale, transport.OriginLocal, stg, nil
+			return f, nil
 		}
 	}
-	intra, _, seq, origin, fstg, err := s.frameForStaged(pt, deadlineMs, traceID)
-	stg = fstg
+	f, err := s.exact(pt, deadlineMs, traceID, true)
+	if errors.Is(err, errOverloaded) && !s.degradeOff.Load() {
+		if stale, ok := s.staleFor(pt); ok && stale.rung == transport.RungStale {
+			s.obs.degradeStale.Inc()
+			stale.stages = f.stages
+			return stale, nil
+		}
+	}
 	if err != nil {
-		if errors.Is(err, errOverloaded) && !s.degradeOff.Load() {
-			if stale, refPt, _, ok := s.staleFor(pt); ok && refPt != pt {
-				s.obs.degradeStale.Inc()
-				return stale, transport.FrameIntra, geom.GridPoint{}, transport.RungStale, transport.OriginLocal, stg, nil
-			}
-		}
-		return nil, transport.FrameIntra, geom.GridPoint{}, transport.RungExact, origin, stg, err
+		return f, err
 	}
-	return s.deltaOrIntra(pt, seq, intra, sr, origin, stg)
+	return s.deltaCoded(pt, f, sr), nil
 }
 
-// deltaOrIntra finishes an exact serve: delta-code against the session's
-// best held reference when that wins bytes, else serve intra and register
-// the frame as the next pending reference.
-func (s *Server) deltaOrIntra(pt geom.GridPoint, seq uint64, intra []byte, sr *sessionRefs, origin transport.FrameOrigin, stg frameStages) ([]byte, transport.FrameEncoding, geom.GridPoint, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
+// deltaCoded finishes an exact serve of pt: delta-code it against the
+// session's best held reference when that wins bytes, else serve it intra
+// and register it as the next pending reference.
+func (s *Server) deltaCoded(pt geom.GridPoint, f frame, sr *sessionRefs) frame {
 	if !s.deltaOff.Load() {
-		if d, refPt, ok := s.deltaFor(pt, seq, intra, sr); ok {
+		if d, refPt, ok := s.deltaFor(pt, f.seq, f.data, sr); ok {
 			s.obs.deltaFrames.Inc()
-			s.obs.deltaSaved.Add(int64(len(intra) - len(d)))
-			return d, transport.FrameDelta, refPt, transport.RungExact, origin, stg, nil
+			s.obs.deltaSaved.Add(int64(len(f.data) - len(d)))
+			f.data, f.kind, f.ref = d, transport.FrameDelta, refPt
+			return f
 		}
 	}
-	sr.setPending(pt, seq)
-	return intra, transport.FrameIntra, geom.GridPoint{}, transport.RungExact, origin, stg, nil
+	sr.setPending(pt, f.seq)
+	return f
 }
 
 // deltaFor tries to produce a delta encoding of frame (pt, seq) against

@@ -284,7 +284,7 @@ func TestRunLiveTinyRefBudget(t *testing.T) {
 	}
 }
 
-// TestFrameForSessionRacesEviction hammers the staged serve path from two
+// TestFrameForSessionRacesEviction hammers the session serve step from two
 // concurrent sessions over neighbouring points while a third goroutine
 // churns the store budget, so LRU eviction races the in-flight delta
 // encodings and reference reads the sessions perform. Run under -race this
@@ -329,7 +329,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 					dl = wallMs() + 16.7
 				}
 				sr.promote()
-				data, _, _, _, _, _, err := srv.frameForSession(pt, dl, 0, sr)
+				f, err := srv.sessionFrame(pt, dl, 0, sr)
 				if err != nil {
 					if errors.Is(err, errOverloaded) {
 						continue
@@ -337,7 +337,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 					t.Errorf("session %d iter %d: %v", p, i, err)
 					return
 				}
-				if len(data) == 0 {
+				if len(f.data) == 0 {
 					t.Errorf("session %d iter %d: empty frame", p, i)
 					return
 				}
@@ -347,4 +347,99 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 	sessions.Wait()
 	close(stop)
 	churn.Wait()
+}
+
+// TestSessionRefsOrderBounded pins the holdings' promotion order to the
+// holdings themselves: a long session whose client evicts every
+// reference it receives must not grow order one entry per eviction, and
+// a point dropped and then promoted again is the newest holding, so the
+// next trim evicts the oldest one instead of it.
+func TestSessionRefsOrderBounded(t *testing.T) {
+	sr := newSessionRefs()
+	for i := 0; i < 10000; i++ {
+		pt := geom.GridPoint{I: i}
+		sr.setPending(pt, uint64(i+1))
+		sr.promote()
+		sr.drop([]geom.GridPoint{pt})
+	}
+	if len(sr.held) != 0 || len(sr.order) > 2*maxHeldRefs {
+		t.Fatalf("after 10000 promote/drop cycles: held=%d order=%d, want held=0 order<=%d",
+			len(sr.held), len(sr.order), 2*maxHeldRefs)
+	}
+
+	sr = newSessionRefs()
+	var seq uint64
+	promote := func(pt geom.GridPoint) {
+		seq++
+		sr.setPending(pt, seq)
+		sr.promote()
+	}
+	re := geom.GridPoint{I: -1}
+	promote(re)
+	for i := 1; i < maxHeldRefs; i++ {
+		promote(geom.GridPoint{I: i})
+	}
+	sr.drop([]geom.GridPoint{re})
+	promote(re)
+	rePromoted := seq
+	promote(geom.GridPoint{I: maxHeldRefs}) // one past the bound: trims once
+	if got, ok := sr.held[re]; !ok || got != rePromoted {
+		t.Fatalf("re-promoted point: held=%v seq=%d, want held at seq %d", ok, got, rePromoted)
+	}
+	if _, ok := sr.held[geom.GridPoint{I: 1}]; ok {
+		t.Fatal("the oldest holding survived the trim")
+	}
+	if len(sr.held) != maxHeldRefs || len(sr.order) != maxHeldRefs {
+		t.Fatalf("held=%d order=%d, want both %d", len(sr.held), len(sr.order), maxHeldRefs)
+	}
+}
+
+// TestPeerRepliesStayIntraExactLocal sends node-to-node frame requests
+// over one session, as a proxying peer does: the same point twice, then a
+// neighbour inside the leaf's DistThresh. A client session would delta-
+// code the second and third replies against the first; a peer reply must
+// never be delta-coded, degraded or re-attributed, so every reply is
+// intra at RungExact from OriginLocal and carries exactly FrameFor's
+// bytes.
+func TestPeerRepliesStayIntraExactLocal(t *testing.T) {
+	srv, addr := startServer(t)
+	grid := srv.env.Game.Scene.Grid
+	ptA := grid.Snap(srv.env.Game.Spawn)
+	ptB := geom.GridPoint{I: ptA.I + 1, J: ptA.J}
+	leaf := srv.env.Map.LeafAt(grid.Pos(ptA))
+	if leaf == nil || srv.env.Map.LeafAt(grid.Pos(ptB)) != leaf || grid.Dist(ptA, ptB) > leaf.DistThresh {
+		t.Fatalf("test premise: %v is not a same-leaf neighbour of %v within DistThresh", ptB, ptA)
+	}
+
+	c := transport.NewConn(dialRaw(t, addr))
+	for i, pt := range []geom.GridPoint{ptA, ptA, ptB} {
+		req := transport.EncodeFrameRequest(transport.FrameRequest{
+			Player: 9, Point: pt, ReqID: uint32(i + 1), SentMs: wallMs(),
+		})
+		if err := c.Send(transport.Message{Type: transport.MsgPeerFrameRequest, Payload: req}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != transport.MsgPeerFrameReply {
+			t.Fatalf("request %d: reply type %d, want MsgPeerFrameReply", i, m.Type)
+		}
+		r, err := transport.DecodeFrameReply(m.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Kind != transport.FrameIntra || r.Rung != transport.RungExact || r.Origin != transport.OriginLocal {
+			t.Fatalf("request %d for %v: kind=%d rung=%d origin=%d, want intra/exact/local",
+				i, pt, r.Kind, r.Rung, r.Origin)
+		}
+		want, err := srv.FrameFor(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.Data, want) {
+			t.Fatalf("request %d for %v: peer reply bytes differ from FrameFor", i, pt)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"coterie/internal/geom"
+	"coterie/internal/transport"
 )
 
 // This file is the quality-degrade ladder: the frame the server serves
@@ -25,21 +26,21 @@ const maxStaleRadius = 6
 // nearest first. It never triggers or joins a render (peek only) — the
 // whole point is serving without queueing. The scan walks Chebyshev
 // rings outward so the common case (pt itself, or an immediate
-// neighbour on the client's walking path) exits early.
-func (s *Server) staleFor(pt geom.GridPoint) (data []byte, refPt geom.GridPoint, seq uint64, ok bool) {
+// neighbour on the client's walking path) exits early. The frame is at
+// RungExact when it is pt's own, else at RungStale; seq is the store
+// sequence number of the frame found.
+func (s *Server) staleFor(pt geom.GridPoint) (frame, bool) {
 	grid := s.env.Game.Scene.Grid
 	leaf := s.env.Map.LeafAt(grid.Pos(pt))
 	if leaf == nil {
-		return nil, geom.GridPoint{}, 0, false
+		return frame{}, false
 	}
 	maxR := int(math.Ceil(leaf.DistThresh / grid.Step))
 	if maxR > maxStaleRadius {
 		maxR = maxStaleRadius
 	}
 	for r := 0; r <= maxR; r++ {
-		var bestData []byte
-		var bestPt geom.GridPoint
-		var bestSeq uint64
+		var best frame
 		bestDist := leaf.DistThresh + 1
 		for _, cand := range chebyshevRing(pt, r) {
 			if !grid.In(cand) {
@@ -53,14 +54,18 @@ func (s *Server) staleFor(pt geom.GridPoint) (data []byte, refPt geom.GridPoint,
 				continue
 			}
 			if data, seq, hit := s.store.peek(cand); hit {
-				bestData, bestPt, bestSeq, bestDist = data, cand, seq, d
+				best, bestDist = frame{data: data, seq: seq}, d
 			}
 		}
-		if bestData != nil {
-			return bestData, bestPt, bestSeq, true
+		if best.data == nil {
+			continue
 		}
+		if r > 0 {
+			best.rung = transport.RungStale
+		}
+		return best, true
 	}
-	return nil, geom.GridPoint{}, 0, false
+	return frame{}, false
 }
 
 // chebyshevRing returns the grid points at Chebyshev distance r from pt

@@ -15,16 +15,16 @@ import (
 // predictor; when the predicted grid point's frame is store-resident, the
 // server slices it onto the UDP socket ahead of the client's request.
 // Pushes are paced by a per-session token bucket whose effective rate
-// backs off with the session's NACK EWMA and with the installed
-// contention signal, so a lossy or saturated link sheds push traffic
-// before it sheds the client's own fetches.
+// backs off with the session's NACK EWMA, so a lossy link sheds push
+// traffic before it sheds the client's own fetches.
 
 const (
 	// pushLookaheadSec matches prefetch.DefaultConfig.LookaheadSec, so
 	// the server predicts the same point the client's prefetcher is about
 	// to ask for.
 	pushLookaheadSec = 0.4
-	// defaultPushRate is the per-session token-bucket rate (frames/sec).
+	// defaultPushRate is the per-session token-bucket rate (frames/sec)
+	// before loss backoff.
 	defaultPushRate = 30
 	// pushBurst caps accumulated tokens: a session idle for a second
 	// cannot dump an arbitrary burst when it resumes.
@@ -184,21 +184,9 @@ func (s *Server) notePush(u *udpServe, sess *udpSession, st fisync.State, nowMs 
 		return
 	}
 
-	// Refill the bucket at the effective rate: the configured rate scaled
-	// down by the NACK EWMA (loss backoff) and the contention signal.
-	rate := float64(s.pushRate.Load())
-	if rate <= 0 {
-		rate = defaultPushRate
-	}
-	rate /= 1 + 8*sess.nackEWMA
-	if f := s.pushContention.Load(); f != nil {
-		if c := (*f)(); c > 0 {
-			if c > 1 {
-				c = 1
-			}
-			rate *= 1 - c
-		}
-	}
+	// Refill the bucket at the effective rate: the push rate scaled down
+	// by the NACK EWMA (loss backoff).
+	rate := defaultPushRate / (1 + 8*sess.nackEWMA)
 	nowSec := nowMs / 1000
 	sess.tokens += (nowSec - sess.lastFill) * rate
 	sess.lastFill = nowSec
@@ -245,11 +233,7 @@ func (s *Server) sendFrame(u *udpServe, sess *udpSession, pt geom.GridPoint, dat
 	sess.sent[seq%sentRing] = sentFrame{seq: seq, meta: meta, data: data}
 	u.mu.Unlock()
 
-	fecK := int(s.fecK.Load())
-	if fecK <= 0 {
-		fecK = transport.DefaultFECGroup
-	}
-	for _, d := range transport.SliceFrame(nil, meta, data, fecK) {
+	for _, d := range transport.SliceFrame(nil, meta, data, transport.DefaultFECGroup) {
 		s.obs.udpBytesOut.Add(int64(len(d)))
 		if _, err := u.pc.WriteTo(d, sess.addr); err != nil {
 			s.obs.udpSendErrors.Inc()
@@ -258,8 +242,8 @@ func (s *Server) sendFrame(u *udpServe, sess *udpSession, pt geom.GridPoint, dat
 	}
 }
 
-// serveUDPReq answers a client's UDP frame request through the staged
-// serve path on a bounded worker pool. When the pool is full the request
+// serveUDPReq answers a client's UDP frame request through the exact
+// serve chain on a bounded worker pool. When the pool is full the request
 // is dropped: the client's short UDP budget expires and it falls back to
 // TCP, which is exactly the overload behaviour we want.
 func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
@@ -276,11 +260,11 @@ func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
 	s.obs.udpFrameReqs.Inc()
 	go func() {
 		defer func() { <-u.sem }()
-		data, _, _, _, _, err := s.frameForStaged(req.Point, 0, 0)
+		f, err := s.exact(req.Point, 0, 0, true)
 		if err != nil {
 			return // client falls back to TCP
 		}
-		s.sendFrame(u, sess, req.Point, data, 0)
+		s.sendFrame(u, sess, req.Point, f.data, 0)
 	}()
 }
 

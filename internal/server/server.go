@@ -60,19 +60,20 @@ type Server struct {
 	deltaOff atomic.Bool
 
 	// sched gates every render leader: an EDF queue with a concurrency
-	// knee (SetMaxInflight) and admission control, so a request whose
-	// vsync deadline is imminent overtakes prerender and deadline-less
-	// traffic instead of queueing FIFO behind it. schedOff bypasses the
-	// gate entirely (the pre-scheduler serve path, for A/B runs and the
-	// byte-identity tests); degradeOff keeps the scheduler but disables
-	// the quality ladder, so at-risk requests render in full and simply
-	// miss. Both inverted so the zero-valued Server has them enabled.
+	// knee (one slot per GOMAXPROCS at New) and admission control, so a
+	// request whose vsync deadline is imminent overtakes prerender and
+	// deadline-less traffic instead of queueing FIFO behind it. schedOff
+	// bypasses the gate entirely (the pre-scheduler serve path, for A/B
+	// runs and the byte-identity tests); degradeOff keeps the scheduler
+	// but disables the quality ladder, so at-risk requests render in full
+	// and simply miss. Both inverted so the zero-valued Server has them
+	// enabled.
 	sched      *sched.Scheduler
 	schedOff   atomic.Bool
 	degradeOff atomic.Bool
 
 	// cluster, when set, shards grid-point ownership across nodes: the
-	// staged pipeline proxies requests for remotely owned points to
+	// serve chain proxies requests for remotely owned points to
 	// their rendezvous owner (caching the reply — read-through
 	// replication) and falls back to rendering locally when the owner
 	// is down or the hop does not fit the deadline. nil (the default)
@@ -81,15 +82,8 @@ type Server struct {
 
 	// pushOn enables trajectory-driven server push on the datagram frame
 	// path (off by default: pushes are opt-in via -push, and only reach
-	// clients that subscribed with the want-push flag). pushRate is the
-	// per-session token-bucket rate in frames/sec (0: default), fecK the
-	// FEC group size for sliced frames (0: transport.DefaultFECGroup).
-	pushOn   atomic.Bool
-	pushRate atomic.Int64
-	fecK     atomic.Int64
-	// pushContention, when set, reports the current network contention
-	// signal in [0,1]; the push pacer scales its rate by (1 - signal).
-	pushContention atomic.Pointer[func() float64]
+	// clients that subscribed with the want-push flag).
+	pushOn atomic.Bool
 
 	mu  sync.Mutex // guards hub
 	hub *fisync.Hub
@@ -303,11 +297,6 @@ func (s *Server) SetSchedEnabled(on bool) { s.schedOff.Store(!on) }
 // control stay active. Safe to call at any time.
 func (s *Server) SetDegradeEnabled(on bool) { s.degradeOff.Store(!on) }
 
-// SetMaxInflight sets the scheduler's concurrency knee: the number of
-// renders allowed to run at once (<= 0 restores the default of one per
-// schedulable core). Safe to call at any time.
-func (s *Server) SetMaxInflight(n int) { s.sched.SetWorkers(n) }
-
 // SetCluster joins the server to a cluster membership view (nil leaves
 // it standalone). Requests for grid points owned by a peer are proxied
 // to the owner and the replies cached locally under the normal store
@@ -328,190 +317,181 @@ func (s *Server) SetSLO(t *obs.SLO) { s.slo = t }
 // to call at any time.
 func (s *Server) SetPushEnabled(on bool) { s.pushOn.Store(on) }
 
-// SetPushRate sets the per-session push token-bucket rate in frames/sec
-// (<= 0 restores the default). The effective rate backs off with the
-// session's NACK EWMA and the contention signal. Safe to call at any time.
-func (s *Server) SetPushRate(n int) { s.pushRate.Store(int64(n)) }
-
-// SetFECK sets the XOR-parity FEC group size for frames sliced onto the
-// datagram path (<= 0 restores transport.DefaultFECGroup). Safe to call
-// at any time.
-func (s *Server) SetFECK(k int) { s.fecK.Store(int64(k)) }
-
-// SetPushContention installs the network-contention signal the push pacer
-// adapts to: a func reporting utilisation in [0,1] (netsim's measured
-// contention in sim runs). nil disables the scaling. Safe to call at any
-// time.
-func (s *Server) SetPushContention(f func() float64) {
-	if f == nil {
-		s.pushContention.Store(nil)
-		return
-	}
-	s.pushContention.Store(&f)
-}
-
 // errOverloaded is the admission-control rejection: the render queue is
 // past its bound and the degrade ladder found nothing servable. Sessions
 // deliver it as MsgError, so the connection stays usable and the client
 // decides whether to retry.
 var errOverloaded = errors.New("overloaded: render queue full")
 
+// frame is the result of one serve: the bytes a reply carries, the store
+// sequence number that names the intra frame behind them (the identity
+// the delta path names references by), where the bytes came from, the
+// stage decomposition for the reply's trace context, and whether this
+// call rendered them. exact always returns an intra frame at RungExact
+// (the zero kind and rung); only the session step re-codes a frame as a
+// delta against ref or substitutes a stale one.
+type frame struct {
+	data     []byte
+	seq      uint64
+	origin   transport.FrameOrigin
+	stages   frameStages
+	rendered bool
+
+	kind transport.FrameEncoding
+	ref  geom.GridPoint
+	rung transport.DegradeRung
+}
+
 // FrameFor returns the encoded far-BE panorama for a grid point,
 // rendering and encoding it on first use.
 func (s *Server) FrameFor(pt geom.GridPoint) ([]byte, error) {
-	data, _, err := s.frameFor(pt)
-	return data, err
+	f, err := s.exact(pt, 0, 0, true)
+	return f.data, err
 }
 
-// frameFor additionally reports whether this call rendered the frame.
-// Deadline-less: never shed, never degraded.
-func (s *Server) frameFor(pt geom.GridPoint) ([]byte, bool, error) {
-	data, rendered, _, _, _, err := s.frameForStaged(pt, 0, 0)
-	return data, rendered, err
-}
-
-// frameForStaged is frameFor plus the stage decomposition for the reply's
-// trace context, the frame's store sequence number (the identity the
-// delta path names references by), and where the bytes came from. The
-// bytes are always the exact frame of pt: a store hit, a peer's copy, or
-// a full ray-cast, which is a pure function of the grid point.
-// Concurrent calls for the same point share one render: the first caller
-// renders (and reports render/encode spans), the rest block on its result
-// (and report the wait as queue time), so rendered counts are exact and
-// all callers share one buffer.
+// exact is the serve chain for the exact frame of pt, in the order the
+// paper serves it (§4, §5.1): the store, then the owning peer, then a
+// scheduled render. Its bytes are always the exact frame of pt: a store
+// hit, a peer's copy, or a full ray-cast, which is a pure function of
+// the grid point. Concurrent calls for the same point share one render or
+// fetch: the first caller leads it (and reports its stages), the rest
+// block on its result (and report the wait as queue time), so rendered
+// counts are exact and all callers share one buffer.
 //
 // deadlineMs is the request's absolute wall-clock deadline (<= 0: none).
 // Render leaders pass through the EDF scheduler: they wait for a slot in
 // deadline order (the wait lands in QueueMs) and are shed with
 // errOverloaded when admission control rejects them. The scheduler only
 // orders and sheds work; it never changes the bytes a render produces.
-// frameForStaged allows the peer hop; the MsgPeerFrameRequest handler
-// calls frameForStagedOpt with allowPeer=false so a membership
-// disagreement between nodes can never chain proxy hops into a loop.
 //
 // traceID is the distributed trace id of the client request driving this
 // lookup (obs.TraceID of the request's player and id; 0 untraced, e.g.
 // prerender). It is forwarded verbatim across the peer hop and stamped on
 // the hop span this node records, so the client span, this node's hop
-// span, and the owner's serve span join on one id.
-func (s *Server) frameForStaged(pt geom.GridPoint, deadlineMs float64, traceID uint64) ([]byte, bool, uint64, transport.FrameOrigin, frameStages, error) {
-	return s.frameForStagedOpt(pt, deadlineMs, traceID, true)
-}
-
-func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceID uint64, allowPeer bool) ([]byte, bool, uint64, transport.FrameOrigin, frameStages, error) {
-	var stg frameStages
+// span, and the owner's serve span join on one id. allowPeer is false
+// when answering a peer, so a membership disagreement between nodes can
+// never chain proxy hops into a loop.
+func (s *Server) exact(pt geom.GridPoint, deadlineMs float64, traceID uint64, allowPeer bool) (frame, error) {
 	if !s.env.Game.Scene.Grid.In(pt) {
-		return nil, false, 0, transport.OriginLocal, stg, fmt.Errorf("server: grid point %v outside world", pt)
+		return frame{}, fmt.Errorf("server: grid point %v outside world", pt)
 	}
 	data, seq, ok, c, leader := s.store.lookup(pt)
 	if ok {
 		// A store hit is a local serve even when the bytes were
 		// originally peer-fetched: that is the read-through replication
-		// paying off, and Origin describes this serve, not the history.
+		// paying off, and origin describes this serve, not the history.
 		s.obs.frameStoreHits.Inc()
-		return data, false, seq, transport.OriginLocal, stg, nil
+		return frame{data: data, seq: seq}, nil
 	}
 	if !leader {
 		s.obs.renderShared.Inc()
 		waitStart := time.Now()
 		<-c.done
-		stg.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
-		return c.data, false, c.seq, c.origin, stg, c.err
+		f := frame{data: c.data, seq: c.seq, origin: c.origin}
+		f.stages.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
+		return f, c.err
 	}
 
-	// Cluster ownership gate: a leader for a remotely owned point
-	// proxies the request to its owner instead of rendering, unless the
-	// owner is down or the hop itself is projected past the deadline —
-	// then this node re-renders locally (byte-identical output, counted
-	// as a failover).
+	// Cluster ownership gate: a leader for a remotely owned point asks its
+	// owner instead of rendering. When the owner cannot answer in time,
+	// this node re-renders locally (byte-identical output, counted as a
+	// failover).
 	origin := transport.OriginLocal
-	useSched := !s.schedOff.Load()
-	if cl := s.cluster; cl != nil && allowPeer {
-		if owner := cl.Owner(pt); owner != cl.Self() {
-			if cl.Up(owner) && !(useSched && s.sched.FetchAtRisk(wallMs(), deadlineMs)) {
-				fetchStartMs := wallMs()
-				reply, err := cl.Fetch(pt, deadlineMs, traceID)
-				if err == nil {
-					hopWallMs := wallMs() - fetchStartMs
-					s.sched.ObserveFetchCost(hopWallMs)
-					s.obs.peerFrames.Inc()
-					// Read-through replication: the owner's bytes enter
-					// this node's store under the normal budget, so the
-					// next request for the point is a local hit. The
-					// owner's stage timings pass through to the caller;
-					// what they do not cover — dial/pool wait plus hop
-					// network transit — is this node's proxy overhead and
-					// is split out as HopMs, so the client's NetMs stays
-					// pure client↔proxy transit.
-					c.origin = transport.OriginPeer
-					seq = s.store.complete(pt, c, reply.Data, nil)
-					stg.QueueMs += reply.QueueMs
-					stg.RenderMs = reply.RenderMs
-					stg.EncodeMs = reply.EncodeMs
-					stg.HopMs = hopWallMs - (reply.QueueMs + reply.RenderMs + reply.EncodeMs)
-					if stg.HopMs < 0 {
-						// Clock jitter between the two nodes' stage clocks;
-						// never let the hop go negative or the client-side
-						// identity would over-subtract from NetMs.
-						stg.HopMs = 0
-					}
-					if traceID != 0 {
-						s.obs.trace.Record(&obs.FrameSpan{
-							Player:    int(uint8(traceID >> 32)),
-							TraceID:   traceID,
-							Hop:       1,
-							StartMs:   fetchStartMs,
-							DisplayMs: fetchStartMs + hopWallMs,
-							FetchMs:   hopWallMs,
-							HopMs:     stg.HopMs,
-							QueueMs:   reply.QueueMs,
-							RenderMs:  reply.RenderMs,
-							EncodeMs:  reply.EncodeMs,
-							Origin:    uint8(transport.OriginPeer),
-						})
-					}
-					return reply.Data, false, seq, transport.OriginPeer, stg, nil
-				}
-			}
-			origin = transport.OriginFailover
-			s.obs.peerFailovers.Inc()
+	if cl := s.cluster; allowPeer && cl != nil && cl.Owner(pt) != cl.Self() {
+		if f, ok := s.fromPeer(cl, pt, c, deadlineMs, traceID); ok {
+			return f, nil
 		}
+		origin = transport.OriginFailover
+		s.obs.peerFailovers.Inc()
 	}
+	return s.scheduledRender(pt, c, deadlineMs, origin)
+}
 
+// fromPeer leads the peer hop for a remotely owned point: it fetches the
+// owner's bytes and completes c with them. It reports ok=false, leaving c
+// open for a local render, when the owner is down, the hop itself is
+// projected past the deadline, or the fetch fails.
+func (s *Server) fromPeer(cl *cluster.Cluster, pt geom.GridPoint, c *frameCall, deadlineMs float64, traceID uint64) (frame, bool) {
+	if !cl.Up(cl.Owner(pt)) || (!s.schedOff.Load() && s.sched.FetchAtRisk(wallMs(), deadlineMs)) {
+		return frame{}, false
+	}
+	fetchStartMs := wallMs()
+	reply, err := cl.Fetch(pt, deadlineMs, traceID)
+	if err != nil {
+		return frame{}, false
+	}
+	hopWallMs := wallMs() - fetchStartMs
+	s.sched.ObserveFetchCost(hopWallMs)
+	s.obs.peerFrames.Inc()
+	// Read-through replication: the owner's bytes enter this node's store
+	// under the normal budget, so the next request for the point is a
+	// local hit. The owner's stage timings pass through to the caller;
+	// what they do not cover — dial/pool wait plus hop network transit —
+	// is this node's proxy overhead and is split out as HopMs, so the
+	// client's NetMs stays pure client↔proxy transit. Clock jitter between
+	// the two nodes' stage clocks never lets the hop go negative, or the
+	// client-side identity would over-subtract from NetMs.
+	c.origin = transport.OriginPeer
+	f := frame{
+		data:   reply.Data,
+		seq:    s.store.complete(pt, c, reply.Data, nil),
+		origin: transport.OriginPeer,
+		stages: frameStages{
+			QueueMs:  reply.QueueMs,
+			RenderMs: reply.RenderMs,
+			EncodeMs: reply.EncodeMs,
+			HopMs:    max(0, hopWallMs-(reply.QueueMs+reply.RenderMs+reply.EncodeMs)),
+		},
+	}
+	if traceID != 0 {
+		s.obs.trace.Record(&obs.FrameSpan{
+			Player:    int(uint8(traceID >> 32)),
+			TraceID:   traceID,
+			Hop:       1,
+			StartMs:   fetchStartMs,
+			DisplayMs: fetchStartMs + hopWallMs,
+			FetchMs:   hopWallMs,
+			HopMs:     f.stages.HopMs,
+			QueueMs:   reply.QueueMs,
+			RenderMs:  reply.RenderMs,
+			EncodeMs:  reply.EncodeMs,
+			Origin:    uint8(transport.OriginPeer),
+		})
+	}
+	return f, true
+}
+
+// scheduledRender leads the local render of pt through the EDF scheduler
+// (unless it is off) and completes c with the result.
+func (s *Server) scheduledRender(pt geom.GridPoint, c *frameCall, deadlineMs float64, origin transport.FrameOrigin) (frame, error) {
+	f := frame{origin: origin}
+	useSched := !s.schedOff.Load()
 	if useSched {
 		queueMs, admitted := s.sched.Acquire(deadlineMs)
 		if !admitted {
-			err := errOverloaded
-			s.store.complete(pt, c, nil, err)
-			return nil, false, 0, origin, stg, err
+			s.store.complete(pt, c, nil, errOverloaded)
+			return f, errOverloaded
 		}
-		stg.QueueMs += queueMs
+		f.stages.QueueMs = queueMs
 	}
-
-	var err error
-	data, stg.RenderMs, stg.EncodeMs, err = s.render(pt)
+	data, renderMs, encodeMs, err := s.render(pt)
 	if useSched {
 		cost := 0.0
 		if err == nil {
-			cost = stg.RenderMs + stg.EncodeMs
+			cost = renderMs + encodeMs
 		}
 		s.sched.Release(cost)
 	}
-	s.obs.renderMs.Observe(stg.RenderMs + stg.EncodeMs)
+	s.obs.renderMs.Observe(renderMs + encodeMs)
 	if err == nil {
 		s.rendered.Add(1)
 		s.obs.framesRendered.Inc()
 	}
 	c.origin = origin
-	seq = s.store.complete(pt, c, data, err)
-	if err == nil && !s.deltaOff.Load() {
-		// Cache the client-visible reconstruction: the delta path computes
-		// residuals against what the client decoded, not the clean render.
-		if recon, derr := codec.Decode(data); derr == nil {
-			s.panos.put(pt, seq, recon)
-		}
-	}
-	return data, err == nil, seq, origin, stg, err
+	f.seq = s.store.complete(pt, c, data, err)
+	f.data, f.rendered = data, err == nil
+	f.stages.RenderMs, f.stages.EncodeMs = renderMs, encodeMs
+	return f, err
 }
 
 // render ray-casts and encodes the far-BE panorama for an in-grid point,
@@ -714,121 +694,8 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 		}
 		sr.promote()
 		switch m.Type {
-		case transport.MsgFrameRequest:
-			recvMs := wallMs()
-			req, err := transport.DecodeFrameRequest(m.Payload)
-			if err != nil {
-				return err
-			}
-			traceID := obs.TraceID(req.Player, req.ReqID)
-			data, kind, ref, rung, origin, stg, err := s.frameForSession(req.Point, req.DeadlineMs, traceID, sr)
-			if err != nil {
-				if err := c.Send(errMsg(err.Error())); err != nil {
-					return err
-				}
-				continue
-			}
-			s.served.Add(1)
-			s.obs.framesServed.Inc()
-			s.obs.bytesSent.Add(int64(len(data)))
-			st.FramesServed++
-			st.BytesSent += int64(len(data))
-			sendMs := wallMs()
-			reply := transport.EncodeFrameReply(transport.FrameReply{
-				Point:        req.Point,
-				ReqID:        req.ReqID,
-				ClientSentMs: req.SentMs,
-				RecvMs:       recvMs,
-				SendMs:       sendMs,
-				QueueMs:      stg.QueueMs,
-				RenderMs:     stg.RenderMs,
-				EncodeMs:     stg.EncodeMs,
-				HopMs:        stg.HopMs,
-				Kind:         kind,
-				Rung:         rung,
-				Origin:       origin,
-				Ref:          ref,
-				Data:         data,
-			})
-			if err := c.Send(transport.Message{Type: transport.MsgFrameReply, Payload: reply}); err != nil {
-				return err
-			}
-			// Deadline accounting is against the reply's send stamp: network
-			// return time belongs to the client's RTT model, not the server's
-			// deadline compliance.
-			if req.DeadlineMs > 0 {
-				if late := sendMs - req.DeadlineMs; late > 0 {
-					s.obs.deadlineMisses.Inc()
-					s.obs.deadlineMissMs.Observe(late)
-				} else {
-					s.obs.deadlineMet.Inc()
-				}
-			}
-			// SLO accounting: a frame spends error budget when it was slow
-			// server-side, quality-degraded, or a failover re-render —
-			// quality loss burns the budget exactly like lateness.
-			if s.slo != nil {
-				good := sendMs-recvMs <= s.slo.BudgetMs() &&
-					rung == transport.RungExact &&
-					origin != transport.OriginFailover
-				s.slo.Observe(good)
-			}
-		case transport.MsgPeerFrameRequest:
-			// Node-to-node hop: a peer that does not own req.Point proxies
-			// its client's request here. Served from the local pipeline
-			// with the peer hop disabled (allowPeer=false), so membership
-			// disagreement can never chain hops; the reply is always
-			// intra-coded — delta references are per client session and
-			// do not cross nodes — and carries this node's stage timings
-			// so they survive to the far client's trace.
-			recvMs := wallMs()
-			req, err := transport.DecodeFrameRequest(m.Payload)
-			if err != nil {
-				return err
-			}
-			// The proxy forwards its client's request context verbatim, so
-			// the trace id computed here matches the one the proxy stamped
-			// on its hop span — the two nodes' rings join on it.
-			traceID := obs.TraceID(req.Player, req.ReqID)
-			data, _, _, _, stg, err := s.frameForStagedOpt(req.Point, req.DeadlineMs, traceID, false)
-			if err != nil {
-				if err := c.Send(errMsg(err.Error())); err != nil {
-					return err
-				}
-				continue
-			}
-			s.obs.peerFramesServed.Inc()
-			st.FramesServed++
-			st.BytesSent += int64(len(data))
-			sendMs := wallMs()
-			if traceID != 0 {
-				s.obs.trace.Record(&obs.FrameSpan{
-					Player:    int(req.Player),
-					TraceID:   traceID,
-					Hop:       2,
-					StartMs:   recvMs,
-					DisplayMs: sendMs,
-					FetchMs:   sendMs - recvMs,
-					QueueMs:   stg.QueueMs,
-					RenderMs:  stg.RenderMs,
-					EncodeMs:  stg.EncodeMs,
-				})
-			}
-			reply := transport.EncodeFrameReply(transport.FrameReply{
-				Point:        req.Point,
-				ReqID:        req.ReqID,
-				ClientSentMs: req.SentMs,
-				RecvMs:       recvMs,
-				SendMs:       sendMs,
-				QueueMs:      stg.QueueMs,
-				RenderMs:     stg.RenderMs,
-				EncodeMs:     stg.EncodeMs,
-				Kind:         transport.FrameIntra,
-				Rung:         transport.RungExact,
-				Origin:       transport.OriginLocal,
-				Data:         data,
-			})
-			if err := c.Send(transport.Message{Type: transport.MsgPeerFrameReply, Payload: reply}); err != nil {
+		case transport.MsgFrameRequest, transport.MsgPeerFrameRequest:
+			if err := s.replyFrame(c, m, sr, st); err != nil {
 				return err
 			}
 		case transport.MsgEvictNotice:
@@ -861,6 +728,107 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			return fmt.Errorf("server: unexpected message %d", m.Type)
 		}
 	}
+}
+
+// replyFrame answers one frame request on a session: a client's
+// MsgFrameRequest through the session step (stale rescue and delta
+// coding), or a MsgPeerFrameRequest, the node-to-node hop a peer that
+// does not own req.Point proxies its client's request over. A peer is
+// answered from the exact chain with the peer hop disabled, so membership
+// disagreement can never chain hops, and always intra-coded at RungExact
+// from OriginLocal — delta references are per client session and do not
+// cross nodes. Both replies carry this node's stage timings so they
+// survive to the far client's trace. A serve error is answered as
+// MsgError and keeps the session; only a transport error ends it.
+func (s *Server) replyFrame(c *transport.Conn, m transport.Message, sr *sessionRefs, st *SessionStats) error {
+	recvMs := wallMs()
+	req, err := transport.DecodeFrameRequest(m.Payload)
+	if err != nil {
+		return err
+	}
+	// A proxy forwards its client's request context verbatim, so the trace
+	// id computed here matches the one the proxy stamped on its hop span —
+	// the two nodes' rings join on it.
+	traceID := obs.TraceID(req.Player, req.ReqID)
+	peer := m.Type == transport.MsgPeerFrameRequest
+	var f frame
+	if peer {
+		f, err = s.exact(req.Point, req.DeadlineMs, traceID, false)
+		f.origin = transport.OriginLocal
+	} else {
+		f, err = s.sessionFrame(req.Point, req.DeadlineMs, traceID, sr)
+	}
+	if err != nil {
+		return c.Send(errMsg(err.Error()))
+	}
+	st.FramesServed++
+	st.BytesSent += int64(len(f.data))
+	replyType := transport.MsgFrameReply
+	if peer {
+		replyType = transport.MsgPeerFrameReply
+		s.obs.peerFramesServed.Inc()
+	} else {
+		s.served.Add(1)
+		s.obs.framesServed.Inc()
+		s.obs.bytesSent.Add(int64(len(f.data)))
+	}
+	sendMs := wallMs()
+	if peer && traceID != 0 {
+		s.obs.trace.Record(&obs.FrameSpan{
+			Player:    int(req.Player),
+			TraceID:   traceID,
+			Hop:       2,
+			StartMs:   recvMs,
+			DisplayMs: sendMs,
+			FetchMs:   sendMs - recvMs,
+			QueueMs:   f.stages.QueueMs,
+			RenderMs:  f.stages.RenderMs,
+			EncodeMs:  f.stages.EncodeMs,
+		})
+	}
+	reply := transport.EncodeFrameReply(transport.FrameReply{
+		Point:        req.Point,
+		ReqID:        req.ReqID,
+		ClientSentMs: req.SentMs,
+		RecvMs:       recvMs,
+		SendMs:       sendMs,
+		QueueMs:      f.stages.QueueMs,
+		RenderMs:     f.stages.RenderMs,
+		EncodeMs:     f.stages.EncodeMs,
+		HopMs:        f.stages.HopMs,
+		Kind:         f.kind,
+		Rung:         f.rung,
+		Origin:       f.origin,
+		Ref:          f.ref,
+		Data:         f.data,
+	})
+	if err := c.Send(transport.Message{Type: replyType, Payload: reply}); err != nil {
+		return err
+	}
+	if peer {
+		return nil
+	}
+	// Deadline accounting is against the reply's send stamp: network
+	// return time belongs to the client's RTT model, not the server's
+	// deadline compliance.
+	if req.DeadlineMs > 0 {
+		if late := sendMs - req.DeadlineMs; late > 0 {
+			s.obs.deadlineMisses.Inc()
+			s.obs.deadlineMissMs.Observe(late)
+		} else {
+			s.obs.deadlineMet.Inc()
+		}
+	}
+	// SLO accounting: a frame spends error budget when it was slow
+	// server-side, quality-degraded, or a failover re-render — quality
+	// loss burns the budget exactly like lateness.
+	if s.slo != nil {
+		good := sendMs-recvMs <= s.slo.BudgetMs() &&
+			f.rung == transport.RungExact &&
+			f.origin != transport.OriginFailover
+		s.slo.Observe(good)
+	}
+	return nil
 }
 
 func errMsg(s string) transport.Message {
